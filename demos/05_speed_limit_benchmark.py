@@ -6,9 +6,10 @@ and the bundled 600-record drive.  The drive is comfortable except for
 ten seconds at 92 km/h in a dry 90 zone (inside the radar tolerance
 band) and a three-second runaway beyond every limit.
 
-Demonstrates the commonality-space fast path: the full conditional
-transition structure has 2^11 rows, yet scoring 591 sliding windows
-takes well under a second.
+Materializes the full conditional transition structure through the
+object path (2^11 rows), then scores 591 sliding windows with the
+contour engine, which never builds those rows: each pass is one
+11-vector of state plausibilities.
 """
 
 import time

@@ -15,11 +15,12 @@ for inspection but carry zero weight; see ``conditioning_weights``.
 
 Two implementations are provided: a reference path through the public
 mass-function objects and materialized conditional rows, and a fast path
-that stays in commonality space end to end (on singletons commonality
-equals plausibility, so this is the plausibility shortcut: combination,
-conflict extraction and Dempster/Yager renormalization are all pointwise
-there, and consonant rows are built directly as subset minima).  Both
-paths agree to float precision; the fast one is O(N * 2**N) per step.
+that carries each pass as its contour (see ``ContourEngine``).  Every
+row and emission is consonant, so a step's conflict is one minus the
+area of a union of rectangles, and the full pass and every open window
+advance together as one stack of contours.  Both paths agree to float
+precision; per record the fast one costs one sort plus O(N**2), plus
+O(N**2) per open pass, and Dubois-Prade adds O(N**3).
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .belief import (
     mass_to_commonality,
     normalize,
     vacuous,
-    _mobius_superset,
-    _zeta_superset,
 )
 from .errors import EmptyLog, TotalConflict, TraceTooShort
 from .iohmm import (
@@ -176,152 +175,120 @@ def run_forward(
 
 
 # ---------------------------------------------------------------------------
-# commonality-space engine (fast path)
+# contour engine (fast path)
 # ---------------------------------------------------------------------------
 
-class CommonalityEngine:
-    """Forward passes carried out entirely in commonality space.
+class ContourEngine:
+    """Forward passes carried on contours (singleton plausibilities).
 
-    For consonant rows the commonality of a non-empty subset is the
-    minimum member possibility, so the conditional row tables are built
-    without any transform; prediction is one matrix-vector product,
-    combination a pointwise product, and the conflict an alternating
-    sum.  Dempster and Yager renormalization are pointwise in this
-    space; Dubois-Prade drops to mass space for its per-pair transfer.
+    A consonant BBA with contour ``p`` is the random set of its alpha-cuts
+    ``{k : p_k >= a}``, ``a`` uniform on (0, 1].  A transition row ``P_i``
+    and the emission ``e`` therefore conflict unless ``(a, b)`` falls in
+    some rectangle ``[0, P_ik] x [0, e_k]``: the row's conflict is one
+    minus the area of their union.  Prediction reads only the running
+    belief's contour, and the combination's contour follows from the rule,
+    so each pass is an N-vector and a stack of passes advances in one
+    matrix product.  The prior enters the same way, as a mixture of crisp
+    rows (one per focal set) weighted by its masses.
 
-    Engines are stateless apart from the model; the per-record tables are
-    computed by the caller once per record and fed to every consumer.
+    An engine holds only what it derives from the model.
     """
 
     def __init__(self, model: EvIohmm):
-        self.model = model
-        frame = model.frame
-        self.n = frame.size
-        self.size = frame.n_subsets
-        self.full = frame.full_mask
-        masks = np.arange(self.size)
-        popcount = np.zeros(self.size, dtype=np.int64)
-        for i in range(self.n):
-            popcount += (masks >> i) & 1
-        self._signs = np.where(popcount % 2 == 0, 1.0, -1.0)
-        self._singles = np.array([1 << i for i in range(self.n)])
-        # arcs routinely share one constraint vector; evaluate each only once
-        labels = frame.labels
-        groups: dict = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                groups.setdefault(model.transitions[i][j], []).append((i, j))
-        self._transition_groups = [
-            (cv, arcs, f"transition {labels[arcs[0][0]]}->{labels[arcs[0][1]]}")
-            for cv, arcs in groups.items()
-        ]
-        egroups: dict = {}
-        for j, cv in enumerate(model.emissions):
-            egroups.setdefault(cv, []).append(j)
-        self._emission_groups = [
-            (cv, states, f"emission of state {labels[states[0]]}")
-            for cv, states in egroups.items()
-        ]
+        self.rule = model.rule
+        labels = model.frame.labels
+        n = model.frame.size
+        # arcs routinely share one constraint vector; evaluate each only
+        # once per record, then gather the values into place
+        curves: dict = {}  # (reads outputs, vector) -> (slot, context)
 
-    def _subset_min(self, per_state: np.ndarray) -> np.ndarray:
-        """rows[..., A] = min of per_state[..., j] over members j of A; 1 at A = 0."""
-        shape = per_state.shape[:-1]
-        out = np.ones(shape + (self.size,))
-        for j in range(self.n):
-            v = out.reshape(shape + (-1, 2, 1 << j))
-            np.minimum(v[..., 1, :], per_state[..., j, None, None], out=v[..., 1, :])
-        return out
+        def slot(cv, outputs, context):
+            return curves.setdefault((outputs, cv), (len(curves), context))[0]
 
-    def record_tables(self, record: TraceRecord) -> tuple[np.ndarray, np.ndarray]:
-        """(singleton-row commonalities, emission commonality) for one record."""
-        poss = np.empty((self.n, self.n))
-        for cv, arcs, context in self._transition_groups:
-            value = evaluate_constraint_vector(cv, record.inputs, context=context)
-            for i, j in arcs:
-                poss[i, j] = value
-        e_poss = np.empty(self.n)
-        for cv, states, context in self._emission_groups:
-            value = evaluate_constraint_vector(cv, record.outputs, context=context)
-            for j in states:
-                e_poss[j] = value
-        return self._subset_min(poss), self._subset_min(e_poss)
+        self._arc_slots = np.array([
+            [
+                slot(cv, False, f"transition {labels[i]}->{labels[j]}")
+                for j, cv in enumerate(row)
+            ]
+            for i, row in enumerate(model.transitions)
+        ])
+        self._emission_slots = np.array([
+            slot(cv, True, f"emission of state {labels[j]}")
+            for j, cv in enumerate(model.emissions)
+        ])
+        self._curves = [(cv, out, ctx) for (out, cv), (_, ctx) in curves.items()]
+        masses = model.prior.masses
+        focal = np.flatnonzero(masses)
+        self._prior_weights = masses[focal][None, :]
+        self._prior_rows = ((focal[:, None] >> np.arange(n)) & 1).astype(float)
 
-    def _prior_q(self) -> np.ndarray:
-        if self.model.prior.is_vacuous():
-            return np.ones(self.size)
-        return _zeta_superset(self.model.prior.masses.copy())
+    def record(self, record: TraceRecord) -> tuple[np.ndarray, ...]:
+        """(arc possibilities, emission contour, its descending order) of a record."""
+        values = np.array([
+            evaluate_constraint_vector(
+                cv, record.outputs if out else record.inputs, context=context
+            )
+            for cv, out, context in self._curves
+        ])
+        e = values[self._emission_slots]
+        return values[self._arc_slots], e, (-e).argsort()
 
-    def init_state(self, q_e: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Start a pass from the emission table; (state, conflict, reset flag)."""
-        q_prior = self._prior_q()
-        q_comb = q_prior * q_e
-        conflict = _clip_unit(self._signs @ q_comb)
-        q_state, reset = self._renormalize(q_comb, conflict, q_prior, q_e)
-        return q_state, conflict, reset
+    def start(self, e: np.ndarray, order: np.ndarray) -> tuple[float, np.ndarray]:
+        """Conflict and contour of a pass's first step, where the prior meets ``e``."""
+        conflicts, contours = self.step(
+            self._prior_weights, self._prior_rows, e, order
+        )
+        return conflicts[0], contours[0]
 
-    def advance(
-        self, q_state: np.ndarray, q_rows: np.ndarray, q_e: np.ndarray
-    ) -> tuple[np.ndarray, float, bool]:
-        """One prediction-combination-renormalization step in q space."""
-        contour = q_state[self._singles]
-        total = float(contour.sum())
-        if total <= _CONTOUR_EPS:
-            q_pred = np.zeros(self.size)
-            q_pred[0] = 1.0
-        else:
-            q_pred = (contour / total) @ q_rows
-        q_comb = q_pred * q_e
-        conflict = _clip_unit(self._signs @ q_comb)
-        q_state, reset = self._renormalize(q_comb, conflict, q_pred, q_e)
-        return q_state, conflict, reset
-
-    def run(
-        self, records: Sequence[TraceRecord], start: int, length: int
-    ) -> tuple[list[float], list[int]]:
-        """Conflict log and reset step indices for records[start:start+length]."""
-        _, q_e = self.record_tables(records[start])
-        q_state, conflict, reset = self.init_state(q_e)
-        conflicts = [conflict]
-        resets = [0] if reset else []
-        for step in range(1, length):
-            q_rows, q_e = self.record_tables(records[start + step])
-            q_state, conflict, reset = self.advance(q_state, q_rows, q_e)
-            conflicts.append(conflict)
-            if reset:
-                resets.append(step)
-        return conflicts, resets
-
-    def _renormalize(
+    def step(
         self,
-        q_comb: np.ndarray,
-        conflict: float,
-        q_pred: np.ndarray,
-        q_e: np.ndarray,
-    ) -> tuple[np.ndarray, bool]:
-        rule = self.model.rule
-        if rule == "dempster":
-            if conflict >= 1.0 - _TOTAL_CONFLICT_EPS:
-                return np.ones(self.size), True
-            out = q_comb / (1.0 - conflict)
-            out[0] = 1.0
-            return out, False
-        if rule == "yager":
-            out = q_comb + conflict
-            out[0] = 1.0
-            return out, False
-        # dubois_prade: reassign each conflicting parent product to its union;
-        # skipping sub-1e-14 transform dust keeps the pair loop on true focal
-        # elements and costs at most 2**N * 1e-14 in redistributed mass
-        m = _mobius_superset(q_comb.copy())
-        m[0] = 0.0
-        m_pred = _mobius_superset(q_pred.copy())
-        m_e = _mobius_superset(q_e.copy())
-        for b in np.flatnonzero(np.abs(m_pred) > 1e-14):
-            for c in np.flatnonzero(np.abs(m_e) > 1e-14):
-                if b & c == 0:
-                    target = int(b | c) or self.full
-                    m[target] += m_pred[b] * m_e[c]
-        return _zeta_superset(m), False
+        weights: np.ndarray,
+        rows: np.ndarray,
+        e: np.ndarray,
+        order: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Conflicts and next contours of the passes mixing ``rows`` under ``weights``.
+
+        ``weights`` is (passes x rows) and ``rows`` (rows x N) consonant
+        contours.  Taken in the descending ``order`` of ``e``, rectangle
+        k adds the alpha-strip ``(max_{l<k} P_il, P_ik]`` at height
+        ``e_k``, so ``strips @ e_sorted`` is each row's union area.
+        """
+        e_sorted = e[order]
+        reach = np.maximum.accumulate(rows[:, order], axis=1)
+        strips = _increments(reach)
+        conflicts = weights @ (1.0 - strips @ e_sorted)
+        if self.rule == "dubois_prade":
+            transfer = _dubois_prade_rows(rows, e, e_sorted, reach, strips)
+            return conflicts, weights @ transfer
+        contours = (weights @ rows) * e
+        if self.rule == "yager":
+            contours += conflicts[:, None]
+        else:
+            # model breakdown: keep monitoring from total ignorance
+            contours[conflicts >= 1.0 - _TOTAL_CONFLICT_EPS] = 1.0
+        return conflicts, contours
+
+
+def _increments(a: np.ndarray) -> np.ndarray:
+    """Steps along the last axis, the first one taken from 0."""
+    out = a.copy()
+    out[..., 1:] -= a[..., :-1]
+    return out
+
+
+def _dubois_prade_rows(rows, e, e_sorted, reach, strips) -> np.ndarray:
+    """Contour each row leaves once every disjoint pair of cuts moves to its union.
+
+    ``D_ij = P_ij e_j + Pr(disjoint, a <= P_ij) + Pr(disjoint, b <= e_j)
+    + (1 - max_k P_ik)(1 - max e)``; the last term is the pair of empty
+    cuts, whose union is empty and moves to the whole frame.
+    """
+    # union area left of a = P_ij, and below b = e_j
+    left = _increments(np.minimum(reach[:, None, :], rows[:, :, None])) @ e_sorted
+    below = strips @ np.minimum(e_sorted[:, None], e)
+    both_empty = np.outer(1.0 - reach[:, -1], 1.0 - e_sorted[0])
+    return rows * e + (rows - left) + (e - below) + both_empty
 
 
 # ---------------------------------------------------------------------------
@@ -422,40 +389,35 @@ def sliding_effectiveness(
 
 
 def _windows_fast(trace, model, window_len, stride):
-    """Time-major sweep: one table build per record feeds every consumer."""
-    eng = CommonalityEngine(model)
+    """Time-major sweep advancing one stack of contours per record.
+
+    Row 0 of the stack is the full pass and every open window adds a row,
+    oldest first; windows share one length, so they close in that order.
+    """
+    eng = ContourEngine(model)
     last_start = len(trace) - window_len
-    full_conflicts: list[float] = []
-    full_resets: list[int] = []
-    active: dict[int, np.ndarray] = {}
-    logs: dict[int, list[float]] = {}
+    logs: list[list[float]] = []  # one conflict log per row of the stack
     finished: list[tuple[int, list[float]]] = []
-    full_state = None
     for t, rec in enumerate(trace):
-        q_rows, q_e = eng.record_tables(rec)
-        if t == 0:
-            full_state, conflict, reset = eng.init_state(q_e)
-        else:
-            full_state, conflict, reset = eng.advance(full_state, q_rows, q_e)
-        full_conflicts.append(conflict)
-        if reset:
-            full_resets.append(t)
-        for start in list(active):
-            state, conflict, _ = eng.advance(active[start], q_rows, q_e)
-            logs[start].append(conflict)
-            if start + window_len - 1 == t:
-                finished.append((start, logs.pop(start)))
-                del active[start]
-            else:
-                active[start] = state
+        rows, e, order = eng.record(rec)
+        if t:
+            weights = stack / stack.sum(axis=1, keepdims=True)
+            conflicts, stack = eng.step(weights, rows, e, order)
+            for log, conflict in zip(logs, map(_clip_unit, conflicts.tolist())):
+                log.append(conflict)
         if t <= last_start and t % stride == 0:
-            state, conflict, _ = eng.init_state(q_e)
-            if window_len == 1:
-                finished.append((t, [conflict]))
-            else:
-                active[t] = state
-                logs[t] = [conflict]
-    return full_conflicts, full_resets, finished
+            conflict, contour = eng.start(e, order)
+            conflict = _clip_unit(conflict)
+            if t == 0:  # the full pass starts with the first window
+                logs.append([conflict])
+                stack = contour[None, :]
+            logs.append([conflict])
+            stack = np.vstack((stack, contour))
+        if len(logs) > 1 and len(logs[1]) == window_len:
+            finished.append((t + 1 - window_len, logs.pop(1)))
+            stack = np.delete(stack, 1, axis=0)
+    resets = [t for t, c in enumerate(logs[0]) if c >= 1.0 - _TOTAL_CONFLICT_EPS]
+    return logs[0], resets if model.rule == "dempster" else [], finished
 
 
 def _windows_reference(trace, model, window_len, stride):

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .errors import GenerationError
-from .forward import CommonalityEngine
+from .forward import _windows_fast
 from .iohmm import EvIohmm
 from .possibility import ConstraintVector, PossibilityDistribution
 from .trace import TraceRecord
@@ -226,7 +226,9 @@ def generate_trace(
 
 def _verify_zones(model, records, zones) -> None:
     """Check the constructed classes against the actual forward pass."""
-    conflicts, _ = CommonalityEngine(model).run(records, 0, len(records))
+    # the sweep's full pass with a single one-record window; a report's
+    # per-step rows would add megabytes to the peak memory on long traces
+    conflicts, _, _ = _windows_fast(records, model, 1, len(records))
     for t, (zone, conflict) in enumerate(zip(zones, conflicts)):
         ok = (
             conflict <= 1e-12

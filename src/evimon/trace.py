@@ -9,6 +9,7 @@ record, whose inputs gate no transition.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -34,9 +35,17 @@ class TraceRecord:
 
 
 def read_trace(path) -> list[TraceRecord]:
-    """Parse a trace CSV; raises :class:`ParseError` with the record number."""
+    """Parse a trace CSV; raises :class:`ParseError` with the record number.
+
+    Missing or unreadable files, non-numeric and non-finite cells all
+    fail here, located by path (and line), never later in evaluation.
+    """
     records: list[TraceRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read trace file: {exc}", str(path)) from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -79,12 +88,18 @@ def read_trace(path) -> list[TraceRecord]:
                         )
                     return None
                 try:
-                    return float(raw)
+                    value = float(raw)
                 except ValueError:
                     raise ParseError(
                         f"record {record_index} column {name!r}: not a number: {raw!r}",
                         where,
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"record {record_index} column {name!r}: not finite: {raw!r}",
+                        where,
+                    )
+                return value
 
             ts = cell(0, "timestamp", True)
             if last_ts is not None and ts < last_ts:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evimon.belief import (
     Frame,
@@ -18,7 +21,6 @@ from evimon.errors import (
     ValidationError,
 )
 from evimon.forward import (
-    CommonalityEngine,
     conditioning_weights,
     effectiveness,
     forward_init,
@@ -39,6 +41,7 @@ from evimon.trace import TraceRecord
 from model_builders import (
     bayesian_mass,
     brute_force_path_sum,
+    cv,
     evidential_bayesian_effectiveness,
     luminosity_crisp_model,
     luminosity_model,
@@ -49,6 +52,7 @@ from model_builders import (
     random_trace,
 )
 TOL = 1e-9
+RULES = ("dempster", "yager", "dubois_prade")
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +315,20 @@ def test_sliding_window_too_short():
 # fast engine vs reference path
 # ---------------------------------------------------------------------------
 
+def assert_engines_agree(records, model, window_len, stride):
+    fast = sliding_effectiveness(records, model, window_len, stride, engine="fast")
+    ref = sliding_effectiveness(records, model, window_len, stride, engine="reference")
+    assert len(fast.steps) == len(ref.steps)
+    for a, b in zip(fast.steps, ref.steps):
+        assert a.conflict == pytest.approx(b.conflict, abs=TOL)
+    assert [w.start for w in fast.windows] == [w.start for w in ref.windows]
+    for a, b in zip(fast.windows, ref.windows):
+        assert a.value == pytest.approx(b.value, abs=TOL)
+    resets = [s.index for s in fast.steps if s.reset]
+    assert resets == [s.index for s in ref.steps if s.reset]
+    return fast
+
+
 @pytest.mark.parametrize("rule", ["dempster", "yager", "dubois_prade"])
 def test_engine_agrees_with_reference(rule):
     rng = np.random.default_rng(35)
@@ -326,15 +344,7 @@ def test_engine_agrees_with_reference(rule):
             input_names=model.input_variables,
             output_names=model.output_variables,
         )
-        fast = sliding_effectiveness(records, model, 3, 1, engine="fast")
-        ref = sliding_effectiveness(records, model, 3, 1, engine="reference")
-        for a, b in zip(fast.steps, ref.steps):
-            assert a.conflict == pytest.approx(b.conflict, abs=TOL)
-        for a, b in zip(fast.windows, ref.windows):
-            assert a.value == pytest.approx(b.value, abs=TOL)
-        assert [s.index for s in fast.steps if s.reset] == [
-            s.index for s in ref.steps if s.reset
-        ]
+        assert_engines_agree(records, model, 3, 1)
 
 
 def test_engine_full_pass_agrees_with_run_forward():
@@ -342,11 +352,10 @@ def test_engine_full_pass_agrees_with_run_forward():
     for _ in range(20):
         model = random_possibilistic_model(rng, n_states=3)
         records = random_trace(rng, 6)
-        eng = CommonalityEngine(model)
-        conflicts, resets = eng.run(records, 0, len(records))
+        steps = sliding_effectiveness(records, model, len(records), engine="fast").steps
         state = run_forward(model, records)
-        assert np.allclose(conflicts, state.conflict_log, atol=TOL)
-        assert tuple(resets) == state.resets
+        assert np.allclose([s.conflict for s in steps], state.conflict_log, atol=TOL)
+        assert tuple(s.index for s in steps if s.reset) == state.resets
         assert state.current.conflict == 0.0  # always renormalized
         assert all(0.0 <= c <= 1.0 for c in state.conflict_log)
 
@@ -370,12 +379,99 @@ def test_engine_agrees_with_reference_under_explicit_prior():
             output_variables=base.output_variables,
         )
         records = random_trace(rng, 5)
-        fast = sliding_effectiveness(records, model, 2, 1, engine="fast")
-        ref = sliding_effectiveness(records, model, 2, 1, engine="reference")
-        for a, b in zip(fast.steps, ref.steps):
-            assert a.conflict == pytest.approx(b.conflict, abs=TOL)
-        for a, b in zip(fast.windows, ref.windows):
-            assert a.value == pytest.approx(b.value, abs=TOL)
+        assert_engines_agree(records, model, 2, 1)
+
+
+def graded_model(n, rule, prior=None):
+    """Arc i->j reads input ``a<i>_<j>`` and state j's emission output
+    ``e<j>``, each through ramp_up(0, 1), so a record's cell values in
+    [0, 1] are the possibilities themselves."""
+    from evimon.iohmm import EvIohmm
+    from evimon.possibility import ramp_up
+
+    return EvIohmm(
+        Frame([f"s{i}" for i in range(n)]),
+        [[cv((f"a{i}_{j}", ramp_up(0.0, 1.0))) for j in range(n)] for i in range(n)],
+        [cv((f"e{j}", ramp_up(0.0, 1.0))) for j in range(n)],
+        prior=prior,
+        rule=rule,
+    )
+
+
+def graded_record(t, arcs, emission):
+    n = len(emission)
+    return TraceRecord(
+        float(t),
+        {f"a{i}_{j}": float(arcs[i][j]) for i in range(n) for j in range(n)},
+        {f"e{j}": float(emission[j]) for j in range(n)},
+    )
+
+
+@st.composite
+def graded_cases(draw):
+    n = draw(st.integers(1, 8))
+    length = draw(st.integers(1, 6))
+    # no grade in (0, 0.05): once 1 - K falls below about 1e-8, the
+    # reference's mass-space renormalization fails its own mass checks;
+    # near-total conflict is pinned by the exact cases below instead
+    grade = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 1.0))
+    cells = draw(hnp.arrays(np.float64, (length, n * n + n), elements=grade))
+    prior = None
+    kind = draw(st.sampled_from(["vacuous", "normal", "mass on the empty set"]))
+    if kind != "vacuous":
+        masses = draw(
+            hnp.arrays(
+                np.float64, 1 << n, elements=st.floats(1e-3, 1.0), fill=st.just(0.0)
+            )
+        )
+        masses[0] = 0.0 if kind == "normal" else draw(st.floats(1e-3, 1.0))
+        if masses.sum() == 0.0:
+            masses[-1] = 1.0
+        prior = MassFunction(Frame([f"s{i}" for i in range(n)]), masses / masses.sum())
+    model = graded_model(n, draw(st.sampled_from(RULES)), prior)
+    records = [
+        graded_record(t, row[: n * n].reshape(n, n), row[n * n :])
+        for t, row in enumerate(cells)
+    ]
+    window_len = draw(st.integers(1, length))
+    return records, model, window_len, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_cases())
+def test_contour_engine_matches_reference(case):
+    assert_engines_agree(*case)
+
+
+def test_dempster_reset_means_conflict_within_1e12_of_one():
+    # K is one minus the area of the union of the rectangles [0, P_ik] x
+    # [0, e_k]; a step resets to total ignorance iff K >= 1 - 1e-12.
+    # Powers of two keep the reference's mass-space arithmetic exact this
+    # close to K = 1.
+    model = graded_model(2, "dempster")
+    ones = [[1, 1], [1, 1]]
+    tiny = 2.0**-44  # 1 - tiny >= 1 - 1e-13
+    small = 2.0**-36  # 1 - small <= 1 - 1e-11
+    records = [
+        graded_record(0, ones, [1.0, 0.5]),
+        graded_record(1, [[0, 0], [0, 0]], [1.0, 1.0]),  # K == 1
+        graded_record(2, [[2.0**-22] * 2] * 2, [2.0**-22] * 2),  # K == 1 - tiny
+        graded_record(3, ones, [1.0, 1.0]),
+        graded_record(4, [[2.0**-18] * 2] * 2, [2.0**-18, 0.0]),  # K == 1 - small
+        graded_record(5, ones, [tiny, 0.0]),  # K == 1 - tiny, also as a first step
+        # state s0 leads nowhere: K is 1/2 after a reset, 1 without one
+        graded_record(6, [[0, 0], [1, 1]], [1.0, 0.5]),
+    ]
+    report = assert_engines_agree(records, model, 2, 1)
+    conflicts = [s.conflict for s in report.steps]
+    assert conflicts[1] == 1.0
+    assert conflicts[2] == 1.0 - tiny
+    assert conflicts[4] == 1.0 - small
+    assert conflicts[6] == 0.5
+    assert [s.index for s in report.steps if s.reset] == [1, 2, 5]
+    # the window opened at record 5 resets on its first step as well
+    assert report.windows[-1].start == 5
+    assert report.windows[-1].value == tiny * 0.5
 
 
 def test_parallel_traces_share_one_model():
@@ -397,8 +493,8 @@ def test_engine_no_drift_on_long_traces():
     for rule in ("dempster", "yager"):
         model = random_possibilistic_model(rng, n_states=3, rule=rule)
         records = random_trace(rng, 200)
-        eng = CommonalityEngine(model)
-        conflicts, _ = eng.run(records, 0, len(records))
+        steps = sliding_effectiveness(records, model, len(records), engine="fast").steps
+        conflicts = [s.conflict for s in steps]
         state = run_forward(model, records)
         assert np.max(np.abs(np.array(conflicts) - np.array(state.conflict_log))) <= TOL
 
@@ -411,9 +507,10 @@ def test_engine_agrees_with_reference_on_eleven_states():
 
     model = parse_model(bundled.model_path("speed_limits"))
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))
-    eng = CommonalityEngine(model)
     for start in (0, 170, 180, 448):
-        fast, _ = eng.run(trace, start, 10)
+        window = trace[start : start + 10]
+        steps = sliding_effectiveness(window, model, 10, engine="fast").steps
+        fast = [s.conflict for s in steps]
         state = forward_init(model, trace[start].outputs)
         for rec in trace[start + 1 : start + 10]:
             state = forward_step(state, model, rec.inputs, rec.outputs)

@@ -187,6 +187,32 @@ def test_trace_rejects_decreasing_timestamps_and_bad_header(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("column", ["timestamp", "in.u", "out.y"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_trace_rejects_non_finite_cells(tmp_path, column, raw):
+    row = {"timestamp": "1", "in.u": "1", "out.y": "1", column: raw}
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "timestamp,in.u,out.y\n0,1,1\n" + ",".join(row.values()) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    message = str(err.value)
+    assert f"{path}:3" in message
+    assert "record 2" in message and repr(column) in message
+
+
+def test_trace_missing_file_is_parse_error(tmp_path):
+    from evimon.cli import main
+
+    missing = tmp_path / "no" / "such.csv"
+    with pytest.raises(ParseError) as err:
+        read_trace(missing)
+    assert str(missing) in str(err.value)
+    assert main(["eval", "--model", "speed_limits", "--trace", str(missing)]) == 1
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
