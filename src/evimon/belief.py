@@ -389,8 +389,9 @@ def normalize(
 ) -> MassFunction:
     """Redistribute the empty-set mass so the result is a normal BBA.
 
-    ``dempster`` rescales all non-empty masses by 1/(1 - m({})) and raises
-    :class:`TotalConflict` when nothing remains to rescale.  ``yager``
+    ``dempster`` rescales all non-empty masses by the inverse of their sum,
+    1 - m({}) up to rounding, and raises :class:`TotalConflict` when
+    nothing remains to rescale.  ``yager``
     transfers the empty-set mass to the full frame.  ``dubois_prade``
     reassigns each conflicting product of the two parent BBAs to the
     union of its operands and therefore needs ``parents``; the residual
@@ -399,9 +400,12 @@ def normalize(
     """
     if rule == "dempster":
         k = m.conflict
-        if k >= 1.0 - _TOTAL_CONFLICT_EPS:
+        # divide by what is left rather than by 1 - k: near total conflict,
+        # the masses' absolute rounding would be divided by a tiny number
+        left = float(m.masses[1:].sum())
+        if k >= 1.0 - _TOTAL_CONFLICT_EPS or left <= 0.0:
             raise TotalConflict(f"cannot rescale mass with conflict {k!r}")
-        arr = m.masses / (1.0 - k)
+        arr = m.masses / left
         arr[0] = 0.0
         return MassFunction(m.frame, arr)
     if rule == "yager":

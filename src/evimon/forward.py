@@ -19,15 +19,25 @@ that carries each pass as its contour (see ``ContourEngine``).  Every
 row and emission is consonant, so a step's conflict is one minus the
 area of a union of rectangles, and the full pass and every open window
 advance together as one stack of contours.  Both paths agree to float
-precision; per record the fast one costs one sort plus O(N**2), plus
-O(N**2) per open pass, and Dubois-Prade adds O(N**3).
+precision.
+
+Cost of the fast path.  What a step reads from the records alone (the
+curves, the arc and emission contours, the emission's order, each
+row's conflict and, under Dubois-Prade, each row's transfer) is
+computed a block of records at a time, each distinct constraint vector
+once per block over a column of observations: O(N**2) work per record,
+O(N**3) under Dubois-Prade, and per block a number of numpy calls set
+by the model alone.  Per record the time loop then only mixes the stack
+of P open passes, in O(P * N**2) and about ten small numpy calls
+whatever the model; with few states those calls, not the arithmetic,
+are the cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,11 +57,14 @@ from .iohmm import (
     build_transition_rows,
     emission_bba,
 )
-from .possibility import evaluate_constraint_vector
+from .possibility import ConstraintVector, compile_constraint_vector
 from .trace import TraceRecord
 
 _TOTAL_CONFLICT_EPS = 1e-12
 _CONTOUR_EPS = 1e-15
+# cells of the largest array the engine computes for a block of records at
+# once (records x rows x N): bounds the memory of the block arrays
+_BLOCK_CELLS = 1 << 12
 
 
 def _clip_unit(value: float) -> float:
@@ -191,83 +204,139 @@ class ContourEngine:
     matrix product.  The prior enters the same way, as a mixture of crisp
     rows (one per focal set) weighted by its masses.
 
-    An engine holds only what it derives from the model.
+    Everything but that product depends on the records alone, so
+    :meth:`sweep` computes it ahead, a block of records at a time, with
+    each distinct constraint vector compiled once and evaluated over a
+    column of observations.  An engine holds no state of a trace.
     """
 
     def __init__(self, model: EvIohmm):
         self.rule = model.rule
-        labels = model.frame.labels
         n = model.frame.size
-        # arcs routinely share one constraint vector; evaluate each only
-        # once per record, then gather the values into place
-        curves: dict = {}  # (reads outputs, vector) -> (slot, context)
-
-        def slot(cv, outputs, context):
-            return curves.setdefault((outputs, cv), (len(curves), context))[0]
-
-        self._arc_slots = np.array([
-            [
-                slot(cv, False, f"transition {labels[i]}->{labels[j]}")
-                for j, cv in enumerate(row)
-            ]
-            for i, row in enumerate(model.transitions)
-        ])
-        self._emission_slots = np.array([
-            slot(cv, True, f"emission of state {labels[j]}")
-            for j, cv in enumerate(model.emissions)
-        ])
-        self._curves = [(cv, out, ctx) for (out, cv), (_, ctx) in curves.items()]
+        arcs = [cv for row in model.transitions for cv in row]
+        self._arcs = _Curves(arcs, "inputs", (n, n))
+        self._emissions = _Curves(model.emissions, "outputs", (n,))
+        self._model = model  # whose scalar path locates a bad observation
         masses = model.prior.masses
         focal = np.flatnonzero(masses)
-        self._prior_weights = masses[focal][None, :]
+        self.prior_weights = masses[focal][None, :]
         self._prior_rows = ((focal[:, None] >> np.arange(n)) & 1).astype(float)
+        self._block = max(1, _BLOCK_CELLS // (n * max(n, len(focal))))
 
-    def record(self, record: TraceRecord) -> tuple[np.ndarray, ...]:
-        """(arc possibilities, emission contour, its descending order) of a record."""
-        values = np.array([
-            evaluate_constraint_vector(
-                cv, record.outputs if out else record.inputs, context=context
-            )
-            for cv, out, context in self._curves
-        ])
-        e = values[self._emission_slots]
-        return values[self._arc_slots], e, (-e).argsort()
+    def sweep(self, trace: Sequence[TraceRecord]) -> Iterator[tuple]:
+        """Per record, the operands of :meth:`step` that the records fix.
 
-    def start(self, e: np.ndarray, order: np.ndarray) -> tuple[float, np.ndarray]:
-        """Conflict and contour of a pass's first step, where the prior meets ``e``."""
-        conflicts, contours = self.step(
-            self._prior_weights, self._prior_rows, e, order
+        Yields ``(arc, start)``: ``arc`` advances the passes from the
+        previous record (None at record 0, whose inputs gate nothing) and
+        ``start`` starts a pass at the record.
+        """
+        for first in range(0, len(trace), self._block):
+            records = trace[first : first + self._block]
+            size = len(records)
+            skip = int(first == 0)
+            inputs, outputs = self._read(records, skip)
+            e = self._emissions.values(outputs, size)
+            order = (-e).argsort(axis=1)
+            e_sorted = np.take_along_axis(e, order, axis=1)
+            prior = np.broadcast_to(self._prior_rows, (size, *self._prior_rows.shape))
+            starts = zip(*self._cuts(prior, e, e_sorted, order), e)
+            arcs = self._arcs.values(inputs, size - skip)
+            if skip:
+                yield None, next(starts)
+            e, e_sorted, order = e[skip:], e_sorted[skip:], order[skip:]
+            yield from zip(zip(*self._cuts(arcs, e, e_sorted, order), e), starts)
+
+    def _read(self, records, skip) -> tuple[dict, dict]:
+        """Input (from record ``skip`` on) and output columns of a block.
+
+        A missing or non-finite observation fails as the scalar path fails
+        on the first record that has one: with the same error, variable
+        and arc or state.
+        """
+        try:
+            inputs = self._arcs.columns(records[skip:])
+            outputs = self._emissions.columns(records)
+            columns = [*inputs.values(), *outputs.values()]
+            if all(np.isfinite(c).all() for c in columns):
+                return inputs, outputs
+        except KeyError:
+            pass
+        for i, rec in enumerate(records):
+            if i >= skip:
+                self._model.transition_possibilities(rec.inputs)
+            self._model.emission_possibilities(rec.outputs)
+        raise AssertionError("a block failed to read, but none of its records")
+
+    def _cuts(self, rows, e, e_sorted, order) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row conflicts and transfer rows of a block of rows against its emissions.
+
+        ``rows`` is (records x rows x N) consonant contours.  Taken in the
+        descending ``order`` of ``e``, rectangle k adds the alpha-strip
+        ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so ``strips @ e_sorted``
+        is each row's union area.  The transfer rows are what a mixture of
+        the rows sends to the next contour: the rows themselves, to be
+        multiplied by ``e``, or the Dubois-Prade contour of each row.
+        """
+        reach = np.maximum.accumulate(
+            np.take_along_axis(rows, order[:, None, :], axis=2), axis=2
         )
-        return conflicts[0], contours[0]
+        strips = _increments(reach)
+        conflicts = 1.0 - (strips @ e_sorted[:, :, None])[..., 0]
+        if self.rule == "dubois_prade":
+            return conflicts, _dubois_prade_rows(rows, e, e_sorted, reach, strips)
+        return conflicts, rows
 
     def step(
         self,
         weights: np.ndarray,
-        rows: np.ndarray,
+        row_conflicts: np.ndarray,
+        transfer: np.ndarray,
         e: np.ndarray,
-        order: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Conflicts and next contours of the passes mixing ``rows`` under ``weights``.
+        """Conflicts and next contours of the passes mixing rows under ``weights``.
 
-        ``weights`` is (passes x rows) and ``rows`` (rows x N) consonant
-        contours.  Taken in the descending ``order`` of ``e``, rectangle
-        k adds the alpha-strip ``(max_{l<k} P_il, P_ik]`` at height
-        ``e_k``, so ``strips @ e_sorted`` is each row's union area.
+        ``weights`` is (passes x rows); ``row_conflicts``, ``transfer`` and
+        ``e`` are one record's operands from :meth:`sweep`.
         """
-        e_sorted = e[order]
-        reach = np.maximum.accumulate(rows[:, order], axis=1)
-        strips = _increments(reach)
-        conflicts = weights @ (1.0 - strips @ e_sorted)
+        conflicts = weights @ row_conflicts
         if self.rule == "dubois_prade":
-            transfer = _dubois_prade_rows(rows, e, e_sorted, reach, strips)
             return conflicts, weights @ transfer
-        contours = (weights @ rows) * e
+        contours = (weights @ transfer) * e
         if self.rule == "yager":
             contours += conflicts[:, None]
         else:
             # model breakdown: keep monitoring from total ignorance
             contours[conflicts >= 1.0 - _TOTAL_CONFLICT_EPS] = 1.0
         return conflicts, contours
+
+
+class _Curves:
+    """The distinct constraint vectors of one side of a model, compiled."""
+
+    def __init__(self, vectors: Sequence[ConstraintVector], side: str, shape):
+        slots: dict[ConstraintVector, int] = {}
+        self._slots = np.array(
+            [slots.setdefault(cv, len(slots)) for cv in vectors]
+        ).reshape(shape)
+        self._compiled = [compile_constraint_vector(cv) for cv in slots]
+        self._variables = sorted({v for cv in slots for v in cv.required_variables()})
+        self._side = side
+
+    def columns(self, records: Sequence[TraceRecord]) -> dict[str, np.ndarray]:
+        """One column per variable read; KeyError when a record lacks one."""
+        return {
+            v: np.array([getattr(rec, self._side)[v] for rec in records], dtype=float)
+            for v in self._variables
+        }
+
+    def values(self, columns: dict[str, np.ndarray], size: int) -> np.ndarray:
+        """Values (records x shape), each distinct vector evaluated once.
+
+        ``np.take`` lays them out C-contiguously: matrix products over
+        strided operands may round differently.
+        """
+        distinct = np.stack([f(columns, size) for f in self._compiled], axis=1)
+        return np.take(distinct, self._slots, axis=1)
 
 
 def _increments(a: np.ndarray) -> np.ndarray:
@@ -282,12 +351,21 @@ def _dubois_prade_rows(rows, e, e_sorted, reach, strips) -> np.ndarray:
 
     ``D_ij = P_ij e_j + Pr(disjoint, a <= P_ij) + Pr(disjoint, b <= e_j)
     + (1 - max_k P_ik)(1 - max e)``; the last term is the pair of empty
-    cuts, whose union is empty and moves to the whole frame.
+    cuts, whose union is empty and moves to the whole frame.  Every
+    operand carries a leading axis of records.
     """
-    # union area left of a = P_ij, and below b = e_j
-    left = _increments(np.minimum(reach[:, None, :], rows[:, :, None])) @ e_sorted
-    below = strips @ np.minimum(e_sorted[:, None], e)
-    both_empty = np.outer(1.0 - reach[:, -1], 1.0 - e_sorted[0])
+    e = e[:, None, :]
+    # union area left of a = P_ij (a row at a time, to bound the memory),
+    # and below b = e_j
+    left = np.stack([
+        (
+            _increments(np.minimum(reach[:, i, None, :], rows[:, i, :, None]))
+            @ e_sorted[:, :, None]
+        )[..., 0]
+        for i in range(rows.shape[1])
+    ], axis=1)
+    below = strips @ np.minimum(e_sorted[:, :, None], e)
+    both_empty = (1.0 - reach[:, :, -1:]) * (1.0 - e_sorted[:, None, :1])
     return rows * e + (rows - left) + (e - below) + both_empty
 
 
@@ -398,24 +476,24 @@ def _windows_fast(trace, model, window_len, stride):
     last_start = len(trace) - window_len
     logs: list[list[float]] = []  # one conflict log per row of the stack
     finished: list[tuple[int, list[float]]] = []
-    for t, rec in enumerate(trace):
-        rows, e, order = eng.record(rec)
+    for t, (arc, start) in enumerate(eng.sweep(trace)):
         if t:
-            weights = stack / stack.sum(axis=1, keepdims=True)
-            conflicts, stack = eng.step(weights, rows, e, order)
+            # np.add.reduce is stack.sum without its Python-level wrapper
+            weights = stack / np.add.reduce(stack, 1, keepdims=True)
+            conflicts, stack = eng.step(weights, *arc)
             for log, conflict in zip(logs, map(_clip_unit, conflicts.tolist())):
                 log.append(conflict)
         if t <= last_start and t % stride == 0:
-            conflict, contour = eng.start(e, order)
-            conflict = _clip_unit(conflict)
+            conflicts, contour = eng.step(eng.prior_weights, *start)
+            conflict = _clip_unit(conflicts[0])
             if t == 0:  # the full pass starts with the first window
                 logs.append([conflict])
-                stack = contour[None, :]
+                stack = contour
             logs.append([conflict])
-            stack = np.vstack((stack, contour))
+            stack = np.concatenate((stack, contour))
         if len(logs) > 1 and len(logs[1]) == window_len:
             finished.append((t + 1 - window_len, logs.pop(1)))
-            stack = np.delete(stack, 1, axis=0)
+            stack = np.concatenate((stack[:1], stack[2:]))
     resets = [t for t, c in enumerate(logs[0]) if c >= 1.0 - _TOTAL_CONFLICT_EPS]
     return logs[0], resets if model.rule == "dempster" else [], finished
 

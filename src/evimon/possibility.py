@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,6 +167,46 @@ def evaluate(dist: PossibilityDistribution, value: float) -> float:
     return p[0]  # constant
 
 
+def evaluate_column(dist: PossibilityDistribution, values: np.ndarray) -> np.ndarray:
+    """Evaluate one curve over an array of finite observations.
+
+    Elementwise equal to :func:`evaluate`.  A shoulder clamps the
+    observation into its interval before the scalar form's division, so
+    the division never overflows outside it, and a vertical shoulder
+    (``a == b`` or ``c == d``) is a step, never a division by zero.
+    """
+    kind = dist.kind
+    p = dist.params
+    if kind == "ramp_up":
+        return _rise(values, *p)
+    if kind == "ramp_down":
+        return _fall(values, *p)
+    if kind == "trapezoid":
+        a, b, c, d = p
+        return np.minimum(_rise(values, a, b), _fall(values, c, d))
+    if kind == "crisp_above":
+        return (values > p[0]).astype(float)
+    if kind == "crisp_below":
+        return (values < p[0]).astype(float)
+    if kind == "crisp_interval":
+        return ((p[0] <= values) & (values <= p[1])).astype(float)
+    return np.full(values.shape, p[0])  # constant
+
+
+def _rise(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """0 up to ``a``, 1 from ``b`` on, ``(x - a) / (b - a)`` in between."""
+    if a == b:
+        return (x >= a).astype(float)
+    return (np.minimum(np.maximum(x, a), b) - a) / (b - a)
+
+
+def _fall(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """1 up to ``a``, 0 from ``b`` on, ``(b - x) / (b - a)`` in between."""
+    if a == b:
+        return (x <= b).astype(float)
+    return (b - np.minimum(np.maximum(x, a), b)) / (b - a)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """One variable's tolerance curve inside a constraint vector."""
@@ -241,6 +281,31 @@ def evaluate_constraint_vector(
                 raise MissingVariable(entry.variable, context) from None
         result = min(result, evaluate(entry.distribution, value))
     return result
+
+
+def compile_constraint_vector(
+    cv: ConstraintVector,
+) -> Callable[[Mapping[str, np.ndarray], int], np.ndarray]:
+    """Column form of :func:`evaluate_constraint_vector`.
+
+    The returned ``f(columns, size)`` reads, for each of
+    ``cv.required_variables()``, an array of ``size`` finite observations
+    from ``columns`` and fuses the active curves by minimum; it equals the
+    scalar form record by record.  Reading the columns, and so locating a
+    missing or non-finite observation, is left to the caller.
+    """
+    active = [e for e in cv.entries if not e.inhibited]
+    constant = [e for e in active if e.distribution.kind == "constant"]
+    read = [(e.variable, e.distribution) for e in active if e not in constant]
+    floor = min([1.0] + [e.distribution.params[0] for e in constant])
+
+    def evaluate_columns(columns: Mapping[str, np.ndarray], size: int) -> np.ndarray:
+        out = np.full(size, floor)
+        for variable, dist in read:
+            np.minimum(out, evaluate_column(dist, columns[variable]), out=out)
+        return out
+
+    return evaluate_columns
 
 
 def _possibility_pl_table(frame: Frame, poss: Sequence[float]) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Model construction, prediction and forward-pass tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,9 +413,11 @@ def graded_record(t, arcs, emission):
 def graded_cases(draw):
     n = draw(st.integers(1, 8))
     length = draw(st.integers(1, 6))
-    # no grade in (0, 0.05): once 1 - K falls below about 1e-8, the
-    # reference's mass-space renormalization fails its own mass checks;
-    # near-total conflict is pinned by the exact cases below instead
+    # no grade in (0, 0.05): the reference scores near-total conflict, but
+    # its mass-space sums lose digits there (gaps up to 1.7e-10 against the
+    # contour engine were seen with grades of 1e-8 to 1e-4), too close to
+    # the 1e-9 tolerance; near-total conflict is pinned by the exact cases
+    # below instead
     grade = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 1.0))
     cells = draw(hnp.arrays(np.float64, (length, n * n + n), elements=grade))
     prior = None
@@ -472,6 +476,96 @@ def test_dempster_reset_means_conflict_within_1e12_of_one():
     # the window opened at record 5 resets on its first step as well
     assert report.windows[-1].start == 5
     assert report.windows[-1].value == tiny * 0.5
+
+
+def test_graded_near_total_conflict_agrees_with_reference():
+    # 1 - K is about 1e-9 at every step: dividing the Moebius rounding by
+    # 1 - K used to push the reference's Dempster masses off a sum of 1
+    n = 2
+    arcs = [[1e-9, 1e-9], [1e-9, 1.0]]
+    records = [graded_record(t, arcs, [1e-9, 1e-9]) for t in range(4)]
+    for rule in RULES:
+        report = assert_engines_agree(records, graded_model(n, rule), 2, 1)
+        assert all(s.conflict > 1.0 - 1e-8 for s in report.steps)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_block_length_does_not_change_the_report(rule, monkeypatch):
+    # the engine evaluates the records' side of each step a block at a
+    # time; blocks of 1, 2 and 5 records must give the very same floats
+    from evimon import bundled, forward
+    from evimon.iohmm import EvIohmm
+    from evimon.modelfile import parse_model
+    from evimon.trace import read_trace
+
+    base = parse_model(bundled.model_path("speed_limits"))
+    model = EvIohmm(
+        base.frame, base.transitions, base.emissions, rule=rule,
+        input_variables=base.input_variables, output_variables=base.output_variables,
+    )
+    trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
+    default = sliding_effectiveness(trace, model, 7, 2)
+    n = model.frame.size
+    for records_per_block in (1, 2, 5):
+        monkeypatch.setattr(forward, "_BLOCK_CELLS", records_per_block * n * n)
+        report = sliding_effectiveness(trace, model, 7, 2)
+        assert report.steps == default.steps
+        assert report.windows == default.windows
+
+
+def drop(record, side, variable):
+    values = dict(getattr(record, side))
+    del values[variable]
+    return dataclasses.replace(record, **{side: values})
+
+
+def put(record, side, variable, value):
+    return dataclasses.replace(
+        record, **{side: {**getattr(record, side), variable: value}}
+    )
+
+
+@pytest.mark.parametrize(
+    "change, variable, context",
+    [
+        # arcs are evaluated before emissions, row by row
+        (lambda r: drop(drop(r, "inputs", "a1_1"), "outputs", "e0"),
+         "a1_1", "transition s1->s1"),
+        (lambda r: drop(drop(r, "inputs", "a1_1"), "inputs", "a0_1"),
+         "a0_1", "transition s0->s1"),
+        (lambda r: drop(r, "outputs", "e1"), "e1", "emission of state s1"),
+    ],
+)
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_missing_variable_is_located_after_the_first_record(
+    change, variable, context, engine, monkeypatch
+):
+    from evimon import forward
+
+    # blocks of three records: the bad record opens the second block, and
+    # a later record of that block fails too but is not the one reported
+    monkeypatch.setattr(forward, "_BLOCK_CELLS", 12, raising=False)
+    model = graded_model(2, "dempster")
+    records = [graded_record(t, [[0.5, 1], [1, 0.5]], [1, 0.5]) for t in range(6)]
+    records[3] = change(records[3])
+    records[4] = drop(records[4], "outputs", "e0")
+    with pytest.raises(MissingVariable) as err:
+        sliding_effectiveness(records, model, 2, 1, engine=engine)
+    assert (err.value.variable, err.value.context) == (variable, context)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("side, variable", [("inputs", "a1_0"), ("outputs", "e1")])
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_non_finite_observation_is_rejected(side, variable, value, engine, monkeypatch):
+    from evimon import forward
+
+    monkeypatch.setattr(forward, "_BLOCK_CELLS", 12, raising=False)
+    model = graded_model(2, "yager")
+    records = [graded_record(t, [[0.5, 1], [1, 0.5]], [1, 0.5]) for t in range(6)]
+    records[3] = put(records[3], side, variable, value)
+    with pytest.raises(ValueError, match="observation must be finite"):
+        sliding_effectiveness(records, model, 2, 1, engine=engine)
 
 
 def test_parallel_traces_share_one_model():

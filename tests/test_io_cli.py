@@ -421,6 +421,36 @@ def test_cli_eval_runtime_error_is_exit_2(tmp_path):
     assert "pres" in proc.stderr
 
 
+def test_cli_eval_first_record_without_inputs(tmp_path):
+    # the first record's inputs gate no transition, so the trace format
+    # lets them be empty and no engine reads them
+    t = tmp_path / "t.csv"
+    t.write_text("timestamp,in.pres,out.lum\n0,,1.0\n1,2.0,2.0\n2,2.0,2.0\n")
+    out = tmp_path / "r.csv"
+    summary = tmp_path / "r.json"
+    proc = run_cli(
+        "eval", "--model", "luminosity", "--trace", str(t), "--window", "2",
+        "--out", str(out), "--summary", str(summary),
+    )
+    assert proc.returncode == 0, proc.stderr
+    ref = sliding_effectiveness(
+        read_trace(t), parse_model(bundled.model_path("luminosity")), 2,
+        engine="reference",
+    )
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == len(ref.steps) == 3
+    for row, step in zip(rows, ref.steps):
+        assert float(row.split(",")[1]) == pytest.approx(step.conflict, abs=TOL)
+    windows = [float(row.split(",")[3]) for row in rows if row.split(",")[3]]
+    assert windows == pytest.approx([w.value for w in ref.windows], abs=TOL)
+    payload = json.loads(summary.read_text())
+    expected = summary_dict(ref)
+    assert payload["overall_effectiveness"] == pytest.approx(
+        expected["overall_effectiveness"], abs=TOL
+    )
+    assert payload["reset_steps"] == expected["reset_steps"]
+
+
 def test_cli_eval_window_longer_than_trace_is_exit_1(tmp_path):
     t = tmp_path / "t.csv"
     t.write_text("timestamp,in.pres,out.lum\n0,,1.0\n1,2.0,2.0\n")

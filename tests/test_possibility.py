@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evimon.belief import Frame, mass_to_commonality
 from evimon.errors import AllZeroLikelihood, MissingVariable
 from evimon.possibility import (
+    DISTRIBUTION_KINDS,
     Constraint,
     ConstraintVector,
+    PossibilityDistribution,
+    compile_constraint_vector,
     constant,
     crisp_above,
     crisp_below,
     crisp_interval,
     evaluate,
+    evaluate_column,
     evaluate_constraint_vector,
     normal_likelihood,
     ramp_down,
@@ -297,3 +301,84 @@ def test_forbidden_vector():
     assert cv.is_forbidden
     assert evaluate_constraint_vector(cv, {}) == 0.0
     assert cv.required_variables() == ()
+
+
+# ---------------------------------------------------------------------------
+# column evaluators against the scalar oracle
+# ---------------------------------------------------------------------------
+
+# bounded magnitudes: differences such as b - a and x - a stay finite
+finite = st.floats(-1e9, 1e9, allow_nan=False)
+
+
+@st.composite
+def curves(draw):
+    kind = draw(st.sampled_from(DISTRIBUTION_KINDS))
+    if kind == "constant":
+        return constant(draw(st.floats(0.0, 1.0)))
+    if kind in ("crisp_above", "crisp_below"):
+        return PossibilityDistribution(kind, (draw(finite),))
+    if kind in ("ramp_up", "ramp_down"):
+        a, b = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+        if draw(st.booleans()):
+            # one float wide: far off the ramp, (x - a) / (b - a) overflows
+            b = float(np.nextafter(a, np.inf))
+        return PossibilityDistribution(kind, (a, b))
+    params = sorted(draw(st.lists(finite, min_size=4, max_size=4)))
+    if kind == "crisp_interval":
+        return crisp_interval(params[0], params[-1])
+    a, b, c, d = params
+    # vertical shoulders on either side, or both
+    if draw(st.booleans()):
+        b = a
+    if draw(st.booleans()):
+        c = d
+    assume(a < d)
+    return trapezoid(a, b, c, d)
+
+
+def probe_points(draw, dist):
+    """Every parameter, its float neighbours, and arbitrary observations."""
+    points = list(draw(st.lists(finite, max_size=6)))
+    for p in dist.params:
+        points += [p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)]
+    return np.array(points, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_column_curves_equal_scalar_curves(data):
+    dist = data.draw(curves())
+    points = probe_points(data.draw, dist)
+    # underflow is the scalar form's own (a shoulder value next to its end)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        column = evaluate_column(dist, points)
+    assert column.shape == points.shape
+    assert not np.isnan(column).any()
+    assert column.tolist() == [evaluate(dist, x) for x in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_vectors_equal_scalar_vectors(data):
+    n = data.draw(st.integers(1, 4))
+    inhibited = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assume(not all(inhibited))
+    vector = ConstraintVector(
+        Constraint(f"v{k}", data.draw(curves()), inhibited[k]) for k in range(n)
+    )
+    size = data.draw(st.integers(0, 6))
+    values = {
+        e.variable: probe_points(data.draw, e.distribution) for e in vector.entries
+    }
+    size = min([size] + [len(v) for v in values.values()])
+    # only the variables the vector reads: an inhibited or constant entry
+    # must not touch its column
+    columns = {v: values[v][:size] for v in vector.required_variables()}
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        fused = compile_constraint_vector(vector)(columns, size)
+    assert fused.shape == (size,)
+    assert fused.tolist() == [
+        evaluate_constraint_vector(vector, {v: col[i] for v, col in columns.items()})
+        for i in range(size)
+    ]
