@@ -323,34 +323,20 @@ def _require_same_frame(m1: MassFunction, m2: MassFunction) -> None:
         )
 
 
-def combine_conjunctive(
-    m1: MassFunction, m2: MassFunction, *, via: str = "commonality"
-) -> MassFunction:
+def combine_conjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Unnormalized conjunctive combination (both sources reliable).
 
     The mass of each pair of focal elements flows to their intersection;
     equivalently the combined commonality is the pointwise product of the
-    operand commonalities.  Both routes are implemented (``via`` is
-    ``"commonality"`` or ``"enumeration"``) and agree to float precision.
-    The result may be sub-normal: the empty set collects the conflict.
+    operand commonalities, which is how it is computed.  The result may
+    be sub-normal: the empty set collects the conflict.
     """
     _require_same_frame(m1, m2)
-    if via == "commonality":
-        q = _zeta_superset(m1.masses.copy()) * _zeta_superset(m2.masses.copy())
-        arr = _mobius_superset(q)
-    elif via == "enumeration":
-        arr = np.zeros(m1.frame.n_subsets)
-        for b in m1.focal_masks():
-            for c in m2.focal_masks():
-                arr[b & c] += m1.masses[b] * m2.masses[c]
-    else:
-        raise ValueError(f"unknown conjunctive route {via!r}")
-    return MassFunction(m1.frame, arr)
+    q = _zeta_superset(m1.masses.copy()) * _zeta_superset(m2.masses.copy())
+    return MassFunction(m1.frame, _mobius_superset(q))
 
 
-def combine_disjunctive(
-    m1: MassFunction, m2: MassFunction, *, via: str = "implicability"
-) -> MassFunction:
+def combine_disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Unnormalized disjunctive combination (at least one source reliable).
 
     The mass of each pair of focal elements flows to their union;
@@ -358,17 +344,8 @@ def combine_disjunctive(
     set mass) is the pointwise product of the operand implicabilities.
     """
     _require_same_frame(m1, m2)
-    if via == "implicability":
-        b = _zeta_subset(m1.masses.copy()) * _zeta_subset(m2.masses.copy())
-        arr = _mobius_subset(b)
-    elif via == "enumeration":
-        arr = np.zeros(m1.frame.n_subsets)
-        for b_ in m1.focal_masks():
-            for c in m2.focal_masks():
-                arr[b_ | c] += m1.masses[b_] * m2.masses[c]
-    else:
-        raise ValueError(f"unknown disjunctive route {via!r}")
-    return MassFunction(m1.frame, arr)
+    b = _zeta_subset(m1.masses.copy()) * _zeta_subset(m2.masses.copy())
+    return MassFunction(m1.frame, _mobius_subset(b))
 
 
 def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:

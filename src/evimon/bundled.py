@@ -29,10 +29,3 @@ def trace_path(name: str):
         raise KeyError(f"no bundled trace named {name!r}; available: {TRACES}")
     return resources.files("evimon").joinpath("data", "traces", f"{name}.csv")
 
-
-def trace_manifest_path(name: str):
-    if name not in TRACES:
-        raise KeyError(f"no bundled trace named {name!r}; available: {TRACES}")
-    return resources.files("evimon").joinpath(
-        "data", "traces", f"{name}.manifest.json"
-    )

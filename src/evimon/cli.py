@@ -7,6 +7,7 @@ evaluation failure at run time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -30,18 +31,7 @@ def _cmd_eval(args) -> int:
     model = _resolve_model(args.model)
     trace = read_trace(args.trace)
     if args.rule:
-        from .iohmm import EvIohmm
-
-        model = EvIohmm(
-            model.frame,
-            model.transitions,
-            model.emissions,
-            prior=model.prior,
-            rule=args.rule,
-            input_variables=model.input_variables,
-            output_variables=model.output_variables,
-            name=model.name,
-        )
+        model = dataclasses.replace(model, rule=args.rule)
     report = sliding_effectiveness(trace, model, args.window, args.stride)
     if args.out:
         write_report_csv(report, args.out)

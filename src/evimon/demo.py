@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import bundled
 from .belief import mass_to_plausibility, combine_conjunctive, normalize, vacuous
 from .errors import EvimonError
 from .forward import predict
-from .iohmm import EvIohmm, build_transition_rows, emission_bba
+from .iohmm import build_transition_rows, emission_bba
+from .modelfile import parse_model
 
 TOL = 1e-9
 
@@ -41,31 +43,9 @@ def _check_table(title: str, rows: dict[str, np.ndarray], expected: dict[str, li
                 )
 
 
-def walkthrough_model() -> EvIohmm:
-    from .possibility import Constraint, ConstraintVector, ramp_down, ramp_up
-
-    def cv(var, dist):
-        return ConstraintVector((Constraint(var, dist),))
-
-    from .belief import Frame
-
-    frame = Frame(["x1", "x2"])
-    to_x1 = cv("pres", ramp_down(3.0, 5.0))
-    to_x2 = cv("pres", ramp_up(15.0, 20.0))
-    return EvIohmm(
-        frame,
-        ((to_x1, to_x2), (to_x1, to_x2)),
-        (cv("lum", ramp_down(5.0, 10.0)), cv("lum", ramp_up(23.0, 25.0))),
-        rule="dempster",
-        input_variables=("pres",),
-        output_variables=("lum",),
-        name="luminosity",
-    )
-
-
 def run_walkthrough(pres: float = 3.5, lum: float = 2.34) -> None:
     """Print and verify every step of the worked example; raises on mismatch."""
-    model = walkthrough_model()
+    model = parse_model(bundled.model_path("luminosity"))
     frame = model.frame
     print(f"Room-luminosity model, one step: pres={pres}, lum={lum}")
 

@@ -19,7 +19,10 @@ that carries each pass as its contour (see ``ContourEngine``).  Every
 row and emission is consonant, so a step's conflict is one minus the
 area of a union of rectangles, and the full pass and every open window
 advance together as one stack of contours.  Both paths agree to float
-precision.
+precision.  A pass's conflict and the total that normalizes its weights
+come from one product, of the stack with each row's conflict next to a
+1: both sums add the same terms in the same order, so a step whose
+weighted rows all conflict totally reads exactly 1, not 1 - 2**-53.
 
 Cost of the fast path.  What a step reads from the records alone (the
 curves, the arc and emission contours, the emission's order, each
@@ -42,6 +45,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .belief import (
+    _TOTAL_CONFLICT_EPS,
     MassFunction,
     SetFunction,
     combine_conjunctive,
@@ -60,7 +64,6 @@ from .iohmm import (
 from .possibility import ConstraintVector, compile_constraint_vector
 from .trace import TraceRecord
 
-_TOTAL_CONFLICT_EPS = 1e-12
 _CONTOUR_EPS = 1e-15
 # cells of the largest array the engine computes for a block of records at
 # once (records x rows x N): bounds the memory of the block arrays
@@ -268,37 +271,43 @@ class ContourEngine:
         raise AssertionError("a block failed to read, but none of its records")
 
     def _cuts(self, rows, e, e_sorted, order) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row conflicts and transfer rows of a block of rows against its emissions.
+        """Per-row tallies and transfer rows of a block of rows against its emissions.
 
         ``rows`` is (records x rows x N) consonant contours.  Taken in the
         descending ``order`` of ``e``, rectangle k adds the alpha-strip
         ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so ``strips @ e_sorted``
-        is each row's union area.  The transfer rows are what a mixture of
-        the rows sends to the next contour: the rows themselves, to be
-        multiplied by ``e``, or the Dubois-Prade contour of each row.
+        is each row's union area.  A row's tally is its conflict, one minus
+        that area, next to a 1 (records x rows x 2).  The transfer rows are
+        what a mixture of the rows sends to the next contour: the rows
+        themselves, to be multiplied by ``e``, or the Dubois-Prade contour
+        of each row.
         """
         reach = np.maximum.accumulate(
             np.take_along_axis(rows, order[:, None, :], axis=2), axis=2
         )
         strips = _increments(reach)
-        conflicts = 1.0 - (strips @ e_sorted[:, :, None])[..., 0]
+        area = strips @ e_sorted[:, :, None]
+        tally = np.concatenate((1.0 - area, np.ones_like(area)), axis=2)
         if self.rule == "dubois_prade":
-            return conflicts, _dubois_prade_rows(rows, e, e_sorted, reach, strips)
-        return conflicts, rows
+            return tally, _dubois_prade_rows(rows, e, e_sorted, reach, strips)
+        return tally, rows
 
     def step(
         self,
-        weights: np.ndarray,
-        row_conflicts: np.ndarray,
+        stack: np.ndarray,
+        tally: np.ndarray,
         transfer: np.ndarray,
         e: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Conflicts and next contours of the passes mixing rows under ``weights``.
+        """Conflicts and next contours of a stack of passes.
 
-        ``weights`` is (passes x rows); ``row_conflicts``, ``transfer`` and
-        ``e`` are one record's operands from :meth:`sweep`.
+        ``stack`` is (passes x rows): each pass mixes the rows in proportion
+        to its entries, which need not sum to 1.  ``tally``, ``transfer``
+        and ``e`` are one record's operands from :meth:`sweep`.
         """
-        conflicts = weights @ row_conflicts
+        sums = stack @ tally
+        conflicts = sums[:, 0] / sums[:, 1]
+        weights = stack / sums[:, 1:]
         if self.rule == "dubois_prade":
             return conflicts, weights @ transfer
         contours = (weights @ transfer) * e
@@ -478,9 +487,7 @@ def _windows_fast(trace, model, window_len, stride):
     finished: list[tuple[int, list[float]]] = []
     for t, (arc, start) in enumerate(eng.sweep(trace)):
         if t:
-            # np.add.reduce is stack.sum without its Python-level wrapper
-            weights = stack / np.add.reduce(stack, 1, keepdims=True)
-            conflicts, stack = eng.step(weights, *arc)
+            conflicts, stack = eng.step(stack, *arc)
             for log, conflict in zip(logs, map(_clip_unit, conflicts.tolist())):
                 log.append(conflict)
         if t <= last_start and t % stride == 0:
@@ -499,15 +506,9 @@ def _windows_fast(trace, model, window_len, stride):
 
 
 def _windows_reference(trace, model, window_len, stride):
-    def one(start, length):
-        state = forward_init(model, trace[start].outputs)
-        for rec in trace[start + 1 : start + length]:
-            state = forward_step(state, model, rec.inputs, rec.outputs)
-        return state
-
-    full = one(0, len(trace))
+    full = run_forward(model, trace)
     window_logs = [
-        (start, list(one(start, window_len).conflict_log))
-        for start in range(0, len(trace) - window_len + 1, stride)
+        (s, list(run_forward(model, trace[s : s + window_len]).conflict_log))
+        for s in range(0, len(trace) - window_len + 1, stride)
     ]
     return list(full.conflict_log), list(full.resets), window_logs

@@ -15,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from .belief import _TOTAL_CONFLICT_EPS
 from .errors import GenerationError
 from .forward import _windows_fast
 from .iohmm import EvIohmm
@@ -22,8 +23,6 @@ from .possibility import ConstraintVector, PossibilityDistribution
 from .trace import TraceRecord
 
 SCENARIOS = ("comfort", "tolerance", "breach", "mixed")
-
-_TOTAL = 1.0 - 1e-12
 
 
 def _span(dist: PossibilityDistribution) -> float:
@@ -231,11 +230,11 @@ def _verify_zones(model, records, zones) -> None:
     conflicts, _, _ = _windows_fast(records, model, 1, len(records))
     for t, (zone, conflict) in enumerate(zip(zones, conflicts)):
         ok = (
-            conflict <= 1e-12
+            conflict <= _TOTAL_CONFLICT_EPS
             if zone == "comfort"
-            else conflict >= _TOTAL
+            else conflict >= 1.0 - _TOTAL_CONFLICT_EPS
             if zone == "breach"
-            else 1e-12 < conflict < _TOTAL
+            else _TOTAL_CONFLICT_EPS < conflict < 1.0 - _TOTAL_CONFLICT_EPS
         )
         if not ok:
             raise GenerationError(

@@ -78,31 +78,9 @@ class EvIohmm:
         if prior.frame != frame:
             raise ValidationError("prior is defined on a different frame")
 
-        seen_in = set()
-        for row in transitions:
-            for cv in row:
-                seen_in.update(cv.required_variables())
-        seen_out = set()
-        for cv in emissions:
-            seen_out.update(cv.required_variables())
-        if input_variables is None:
-            input_variables = tuple(sorted(seen_in))
-        else:
-            input_variables = tuple(input_variables)
-            undeclared = seen_in - set(input_variables)
-            if undeclared:
-                raise ValidationError(
-                    f"transition constraints reference undeclared inputs {sorted(undeclared)}"
-                )
-        if output_variables is None:
-            output_variables = tuple(sorted(seen_out))
-        else:
-            output_variables = tuple(output_variables)
-            undeclared = seen_out - set(output_variables)
-            if undeclared:
-                raise ValidationError(
-                    f"emission constraints reference undeclared outputs {sorted(undeclared)}"
-                )
+        arcs = [cv for row in transitions for cv in row]
+        input_variables = _declared(arcs, input_variables, "transition", "inputs")
+        output_variables = _declared(emissions, output_variables, "emission", "outputs")
 
         for attr, value in (
             ("frame", frame),
@@ -145,6 +123,20 @@ class EvIohmm:
                 for j, cv in enumerate(self.emissions)
             ]
         )
+
+
+def _declared(vectors, declared, side: str, kind: str) -> tuple[str, ...]:
+    """Declared variables of one side, by default those its constraints read."""
+    seen = {v for cv in vectors for v in cv.required_variables()}
+    if declared is None:
+        return tuple(sorted(seen))
+    declared = tuple(declared)
+    undeclared = seen - set(declared)
+    if undeclared:
+        raise ValidationError(
+            f"{side} constraints reference undeclared {kind} {sorted(undeclared)}"
+        )
+    return declared
 
 
 class ConditionalTransitionBBAs:

@@ -25,16 +25,6 @@ import numpy as np
 from .belief import Frame, MassFunction, SetFunction, plausibility_to_mass, commonality_to_mass
 from .errors import AllZeroLikelihood, MissingVariable
 
-DISTRIBUTION_KINDS = (
-    "ramp_up",
-    "ramp_down",
-    "trapezoid",
-    "crisp_above",
-    "crisp_below",
-    "crisp_interval",
-    "constant",
-)
-
 _PARAM_COUNT = {
     "ramp_up": 2,
     "ramp_down": 2,
@@ -44,6 +34,8 @@ _PARAM_COUNT = {
     "crisp_interval": 2,
     "constant": 1,
 }
+
+DISTRIBUTION_KINDS = tuple(_PARAM_COUNT)
 
 
 @dataclass(frozen=True)

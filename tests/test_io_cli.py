@@ -1,5 +1,6 @@
 """Model files, trace files, report emission, generation, and the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from evimon import bundled
+from evimon.belief import MassFunction
 from evimon.errors import (
     GenerationError,
     ParseError,
@@ -15,6 +17,7 @@ from evimon.errors import (
 )
 from evimon.forward import sliding_effectiveness
 from evimon.generate import generate_trace, manifest_lines
+from evimon.iohmm import EvIohmm
 from evimon.modelfile import model_from_dict, model_to_dict, parse_model, write_model
 from evimon.report import summary_dict, write_report_csv
 from evimon.trace import TraceRecord, read_trace, write_trace
@@ -60,12 +63,8 @@ def test_model_roundtrip_field_for_field(tmp_path):
 
 
 def test_model_roundtrip_with_prior(tmp_path):
-    from evimon.belief import MassFunction
-
     base = luminosity_model()
     prior = MassFunction.from_dict(base.frame, {("x1",): 0.25, ("x1", "x2"): 0.75})
-    from evimon.iohmm import EvIohmm
-
     model = EvIohmm(
         base.frame,
         base.transitions,
@@ -82,6 +81,16 @@ def test_model_roundtrip_with_prior(tmp_path):
     assert model_to_dict(again) == model_to_dict(model)
     assert np.allclose(again.prior.masses, prior.masses)
     assert again.rule == "yager"
+
+
+def test_model_rejects_undeclared_variables():
+    base = luminosity_model()
+    with pytest.raises(ValidationError) as err:
+        EvIohmm(base.frame, base.transitions, base.emissions, input_variables=("x",))
+    assert str(err.value) == "transition constraints reference undeclared inputs ['pres']"
+    with pytest.raises(ValidationError) as err:
+        EvIohmm(base.frame, base.transitions, base.emissions, output_variables=())
+    assert str(err.value) == "emission constraints reference undeclared outputs ['lum']"
 
 
 def test_parse_model_bad_ramp_names_the_arc(tmp_path):
@@ -259,16 +268,32 @@ def test_generate_comfort_scores_one():
 
 
 def test_generate_breach_has_total_conflict_and_zero_windows():
-    model = luminosity_model()
-    records, zones = generate_trace(model, "breach", 40, seed=6)
-    assert "breach" in zones
-    report = sliding_effectiveness(records, model, 10, 1)
-    breach_records = {i for i, z in enumerate(zones) if z == "breach"}
-    assert set(report.breach_steps) == breach_records
-    for w in report.windows:
-        covers = any(w.start <= b <= w.end for b in breach_records)
-        if covers:
-            assert w.value == 0.0
+    # a breach must read exactly 1 under every rule, not 1 - 2**-53 from
+    # rounding, so that every window over it is exactly 0
+    speed = parse_model(bundled.model_path("speed_limits"))
+    ride = parse_model(bundled.model_path("ride_comfort"))
+    cases = [
+        (luminosity_model(), "breach", 40, 6),
+        (speed, "breach", 200, 1),
+        (speed, "breach", 200, 4),
+        (speed, "breach", 200, 5),
+        (ride, "mixed", 200, 5),
+    ]
+    for model, scenario, length, seed in cases:
+        records, zones = generate_trace(model, scenario, length, seed)
+        breach_records = {i for i, z in enumerate(zones) if z == "breach"}
+        assert breach_records
+        for rule in ("dempster", "yager", "dubois_prade"):
+            case = (model.name, scenario, seed, rule)
+            report = sliding_effectiveness(
+                records, dataclasses.replace(model, rule=rule), 10, 1
+            )
+            assert set(report.breach_steps) == breach_records, case
+            for b in breach_records:
+                assert report.steps[b].conflict == 1.0, (case, b)
+            for w in report.windows:
+                if any(w.start <= b <= w.end for b in breach_records):
+                    assert w.value == 0.0, (case, w)
 
 
 def test_generate_tolerance_zone_classes():
@@ -509,10 +534,26 @@ def test_cli_rule_override(tmp_path):
         "gen-trace", "--model", "luminosity", "--scenario", "breach",
         "--length", "12", "--seed", "11", "--out", str(out),
     )
+    # the override must keep everything else of the model, its prior too
+    base = luminosity_model()
+    prior = MassFunction.from_dict(base.frame, {("x1",): 0.5, ("x2",): 0.5})
+    write_model(dataclasses.replace(base, prior=prior), tmp_path / "prior.json")
     summary = tmp_path / "s.json"
     proc = run_cli(
-        "eval", "--model", "luminosity", "--trace", str(out),
+        "eval", "--model", str(tmp_path / "prior.json"), "--trace", str(out),
         "--window", "4", "--rule", "yager", "--summary", str(summary),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(summary.read_text())["rule"] == "yager"
+    by_hand = EvIohmm(
+        base.frame,
+        base.transitions,
+        base.emissions,
+        prior=prior,
+        rule="yager",
+        input_variables=base.input_variables,
+        output_variables=base.output_variables,
+        name=base.name,
+    )
+    report = sliding_effectiveness(read_trace(out), by_hand, 4, 1)
+    expected = json.loads(json.dumps(summary_dict(report)))
+    assert json.loads(summary.read_text()) == expected
