@@ -165,6 +165,8 @@ class MassFunction:
 
     def __init__(self, frame: Frame, masses: np.ndarray | Iterable[float]):
         arr = _as_table(frame, masses)
+        if not np.isfinite(arr).all():
+            raise ValueError("masses must be finite")
         neg = arr < 0.0
         if neg.any():
             worst = arr.min()

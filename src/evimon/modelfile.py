@@ -9,6 +9,7 @@ constraint list per state, the normalization rule and an optional prior.
 from __future__ import annotations
 
 import json
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -51,15 +52,24 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
             )
         return value
 
+    def names(key):
+        values = need(key, list)
+        for k, value in enumerate(values):
+            if not isinstance(value, str):
+                raise ParseError(
+                    f"{key} must be strings, got {value!r}", f"{source}:{key}[{k}]"
+                )
+        return values
+
     version = need("format_version", int)
     if version != FORMAT_VERSION:
         raise ParseError(
             f"unsupported format_version {version} (expected {FORMAT_VERSION})", source
         )
     name = doc.get("name", "")
-    states = need("states", list)
-    inputs = need("inputs", list)
-    outputs = need("outputs", list)
+    states = names("states")
+    inputs = names("inputs")
+    outputs = names("outputs")
     try:
         frame = Frame(states)
     except ValueError as exc:
@@ -81,6 +91,11 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
                     "constraint is missing 'variable'", f"{source}:{where}"
                 )
             variable = "_"
+        elif not isinstance(variable, str):
+            raise ParseError(
+                f"constraint variable must be a string, got {variable!r}",
+                f"{source}:{where}",
+            )
         elif variable not in declared:
             raise ValidationError(
                 f"{source}:{where}: variable {variable!r} is not declared"
@@ -185,7 +200,11 @@ def _parse_prior(raw, frame: Frame, source: str) -> MassFunction | None:
             mask = frame.mask_of(labels)
         except KeyError as exc:
             raise ValidationError(f"{source}:prior: {exc}") from exc
-        arr[mask] += float(value)
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ParseError(
+                f"mass of {key!r} must be a number, got {value!r}", f"{source}:prior"
+            )
+        arr[mask] += value
     try:
         return MassFunction(frame, arr)
     except ValueError as exc:

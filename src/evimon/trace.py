@@ -59,6 +59,8 @@ def read_trace(path) -> list[TraceRecord]:
         in_cols = []
         out_cols = []
         for pos, name in enumerate(header[1:], start=1):
+            if name in header[:pos]:
+                raise ParseError(f"duplicate column {name!r}", f"{path}:1")
             if name.startswith("in."):
                 in_cols.append((pos, name[3:]))
             elif name.startswith("out."):

@@ -80,6 +80,13 @@ def test_mass_function_validates_shape_sign_and_sum():
         m.masses[1] = 0.0  # write-protected
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_mass_function_rejects_non_finite_masses(bad):
+    # NaN passes both the sign and the sum check, which compare False
+    with pytest.raises(ValueError, match="finite"):
+        MassFunction(AB, [0.0, bad, 0.0, 1.0])
+
+
 def test_vacuous_examples():
     assert np.allclose(vacuous(AB).masses, [0, 0, 0, 1])
     assert np.allclose(vacuous(Frame(["x1"])).masses, [0, 1])

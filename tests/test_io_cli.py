@@ -131,6 +131,40 @@ def test_parse_model_structural_errors(tmp_path):
         parse_model(path)
     assert "ghost" in str(err.value)
 
+    for hostile, location in HOSTILE_DOCUMENTS.values():
+        doc = model_to_dict(luminosity_model())
+        hostile(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            parse_model(path)
+        assert err.value.location == f"{path}:{location}"
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+# name: (mutation of the luminosity document, located field)
+HOSTILE_DOCUMENTS = {
+    "state-name": (_set("states", [["x1"], ["x2"]]), "states[0]"),
+    "input-name": (_set("inputs", [["pres"]]), "inputs[0]"),
+    "output-name": (_set("outputs", ["lum", 3]), "outputs[1]"),
+    "variable": (
+        _set("transitions", 0, "constraints", 0, "variable", ["pres"]),
+        "transitions[0] (arc x1->x1).constraints[0]",
+    ),
+    "prior-null": (_set("prior", {"x1": None}), "prior"),
+    "prior-string": (_set("prior", {"x1": "abc"}), "prior"),
+    "prior-bool": (_set("prior", {"x1": True}), "prior"),
+}
+
 
 def test_model_from_dict_rejects_unknown_state_and_duplicate_arc():
     doc = model_to_dict(luminosity_model())
@@ -181,6 +215,17 @@ def test_trace_input_required_after_first_record(tmp_path):
     with pytest.raises(ParseError) as err:
         read_trace(path)
     assert "in.u" in str(err.value)
+
+
+def test_trace_rejects_duplicate_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "timestamp,in.pres,in.pres,out.lum\n0,1,1,1\n1,2,9,2\n", encoding="utf-8"
+    )
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert err.value.location == f"{path}:1"
+    assert "'in.pres'" in str(err.value)
 
 
 def test_trace_rejects_decreasing_timestamps_and_bad_header(tmp_path):
@@ -395,6 +440,25 @@ def test_cli_demo_exit_zero():
     assert proc.returncode == 0, proc.stderr
     assert "0.75" in proc.stdout
     assert "0.9375" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["prior-nan", *HOSTILE_DOCUMENTS])
+def test_cli_eval_hostile_model_exits_1_without_traceback(tmp_path, name):
+    doc = json.loads(bundled.model_path("luminosity").read_text())
+    if name == "prior-nan":
+        doc["prior"] = {"x1": float("nan")}
+    else:
+        HOSTILE_DOCUMENTS[name][0](doc)
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))  # json writes and reads NaN
+    proc = run_cli(
+        "eval",
+        "--model", str(path),
+        "--trace", str(bundled.trace_path("luminosity_comfort_30")),
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith(f"error: {path}:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_demo_mismatch_names_the_cell():
