@@ -25,15 +25,16 @@ come from one product, of the stack with each row's conflict next to a
 weighted rows all conflict totally reads exactly 1, not 1 - 2**-53.
 
 Cost of the fast path.  What a step reads from the records alone (the
-curves, the arc and emission contours, the emission's order, each
-row's conflict and, under Dubois-Prade, each row's transfer) is
-computed a block of records at a time, each distinct constraint vector
-once per block over a column of observations: O(N**2) work per record,
-O(N**3) under Dubois-Prade, and per block a number of numpy calls set
-by the model alone.  Per record the time loop then only mixes the stack
-of P open passes, in O(P * N**2) and about ten small numpy calls
-whatever the model; with few states those calls, not the arithmetic,
-are the cost.
+curves, the arc and emission contours, and each row's conflict and
+transfer row, into which the rule is folded so that a step is one
+linear map of the contour, up to scale) is computed a block of records
+at a time, each distinct constraint vector once per block over a column
+of observations: O(N**2) work per record, O(N**3) under Dubois-Prade,
+and per block a number of numpy calls set by the model alone.  Per
+record the time loop then only maps a fixed stack of P <= 1 + ceil(W /
+stride) passes, the full pass and a ring of window rows, in O(P * N**2)
+and a handful of small numpy calls whatever the model; with few states
+those calls, not the arithmetic, are the cost.
 """
 
 from __future__ import annotations
@@ -239,15 +240,12 @@ class ContourEngine:
             skip = int(first == 0)
             inputs, outputs = self._read(records, skip)
             e = self._emissions.values(outputs, size)
-            order = (-e).argsort(axis=1)
-            e_sorted = np.take_along_axis(e, order, axis=1)
             prior = np.broadcast_to(self._prior_rows, (size, *self._prior_rows.shape))
-            starts = zip(*self._cuts(prior, e, e_sorted, order), e)
+            starts = zip(*self._cuts(prior, e))
             arcs = self._arcs.values(inputs, size - skip)
             if skip:
                 yield None, next(starts)
-            e, e_sorted, order = e[skip:], e_sorted[skip:], order[skip:]
-            yield from zip(zip(*self._cuts(arcs, e, e_sorted, order), e), starts)
+            yield from zip(zip(*self._cuts(arcs, e[skip:])), starts)
 
     def _read(self, records, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -270,18 +268,21 @@ class ContourEngine:
             self._model.emission_possibilities(rec.outputs)
         raise AssertionError("a block failed to read, but none of its records")
 
-    def _cuts(self, rows, e, e_sorted, order) -> tuple[np.ndarray, np.ndarray]:
+    def _cuts(self, rows, e) -> tuple[np.ndarray, np.ndarray]:
         """Per-row tallies and transfer rows of a block of rows against its emissions.
 
         ``rows`` is (records x rows x N) consonant contours.  Taken in the
-        descending ``order`` of ``e``, rectangle k adds the alpha-strip
+        descending order of ``e``, rectangle k adds the alpha-strip
         ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so ``strips @ e_sorted``
         is each row's union area.  A row's tally is its conflict, one minus
-        that area, next to a 1 (records x rows x 2).  The transfer rows are
-        what a mixture of the rows sends to the next contour: the rows
-        themselves, to be multiplied by ``e``, or the Dubois-Prade contour
-        of each row.
+        that area, next to a 1 (records x rows x 2).  Its transfer row is
+        what it sends to the next contour under the rule, so that a step is
+        one linear map: ``P_i * e`` under Dempster, the same plus the row's
+        conflict on every state under Yager, and the Dubois-Prade contour
+        of the row.
         """
+        order = (-e).argsort(axis=1)
+        e_sorted = np.take_along_axis(e, order, axis=1)
         reach = np.maximum.accumulate(
             np.take_along_axis(rows, order[:, None, :], axis=2), axis=2
         )
@@ -290,30 +291,24 @@ class ContourEngine:
         tally = np.concatenate((1.0 - area, np.ones_like(area)), axis=2)
         if self.rule == "dubois_prade":
             return tally, _dubois_prade_rows(rows, e, e_sorted, reach, strips)
-        return tally, rows
+        transfer = rows * e[:, None, :]
+        if self.rule == "yager":
+            transfer += 1.0 - area
+        return tally, transfer
 
     def step(
-        self,
-        stack: np.ndarray,
-        tally: np.ndarray,
-        transfer: np.ndarray,
-        e: np.ndarray,
+        self, stack: np.ndarray, tally: np.ndarray, transfer: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Conflicts and next contours of a stack of passes.
 
         ``stack`` is (passes x rows): each pass mixes the rows in proportion
-        to its entries, which need not sum to 1.  ``tally``, ``transfer``
-        and ``e`` are one record's operands from :meth:`sweep`.
+        to its entries, which need not sum to 1.  ``tally`` and ``transfer``
+        are one record's operands from :meth:`sweep`.
         """
         sums = stack @ tally
         conflicts = sums[:, 0] / sums[:, 1]
-        weights = stack / sums[:, 1:]
-        if self.rule == "dubois_prade":
-            return conflicts, weights @ transfer
-        contours = (weights @ transfer) * e
-        if self.rule == "yager":
-            contours += conflicts[:, None]
-        else:
+        contours = (stack / sums[:, 1:]) @ transfer
+        if self.rule == "dempster":
             # model breakdown: keep monitoring from total ignorance
             contours[conflicts >= 1.0 - _TOTAL_CONFLICT_EPS] = 1.0
         return conflicts, contours
@@ -444,21 +439,17 @@ def sliding_effectiveness(
         raise TraceTooShort(
             f"trace of {len(trace)} records is shorter than one window of {window_len}"
         )
-    if engine == "fast":
-        full_conflicts, full_resets, window_logs = _windows_fast(
-            trace, model, window_len, stride
-        )
-    elif engine == "reference":
-        full_conflicts, full_resets, window_logs = _windows_reference(
-            trace, model, window_len, stride
-        )
-    else:
+    engines = {"fast": _windows_fast, "reference": _windows_reference}
+    if engine not in engines:
         raise ValueError(f"unknown engine {engine!r}")
+    full_conflicts, full_resets, window_logs = engines[engine](
+        trace, model, window_len, stride
+    )
 
     reset_set = set(full_resets)
     steps = tuple(
         StepResult(i, trace[i].timestamp, c, 1.0 - c, i in reset_set)
-        for i, c in enumerate(full_conflicts)
+        for i, c in enumerate(np.asarray(full_conflicts).tolist())
     )
     windows = []
     for start, conflicts in window_logs:
@@ -478,31 +469,36 @@ def sliding_effectiveness(
 def _windows_fast(trace, model, window_len, stride):
     """Time-major sweep advancing one stack of contours per record.
 
-    Row 0 of the stack is the full pass and every open window adds a row,
-    oldest first; windows share one length, so they close in that order.
+    Row 0 of the stack is the full pass.  At most ``ring`` windows are open
+    at once, so window k, which starts at record ``k * stride``, owns row
+    ``1 + k % ring``: the window that owned it before has closed.  Every
+    row advances on every record, and its conflicts fill one column of a
+    (records x rows) matrix, from which each window's log is gathered.
     """
     eng = ContourEngine(model)
-    last_start = len(trace) - window_len
-    logs: list[list[float]] = []  # one conflict log per row of the stack
-    finished: list[tuple[int, list[float]]] = []
+    starts = np.arange(0, len(trace) - window_len + 1, stride)
+    ring = min(-(-window_len // stride), len(starts))
+    conflicts = np.empty((len(trace), 1 + ring))
+    # idle rows hold any contour that keeps their step finite
+    stack = np.ones((1 + ring, model.frame.size))
     for t, (arc, start) in enumerate(eng.sweep(trace)):
         if t:
-            conflicts, stack = eng.step(stack, *arc)
-            for log, conflict in zip(logs, map(_clip_unit, conflicts.tolist())):
-                log.append(conflict)
-        if t <= last_start and t % stride == 0:
-            conflicts, contour = eng.step(eng.prior_weights, *start)
-            conflict = _clip_unit(conflicts[0])
-            if t == 0:  # the full pass starts with the first window
-                logs.append([conflict])
-                stack = contour
-            logs.append([conflict])
-            stack = np.concatenate((stack, contour))
-        if len(logs) > 1 and len(logs[1]) == window_len:
-            finished.append((t + 1 - window_len, logs.pop(1)))
-            stack = np.concatenate((stack[:1], stack[2:]))
-    resets = [t for t, c in enumerate(logs[0]) if c >= 1.0 - _TOTAL_CONFLICT_EPS]
-    return logs[0], resets if model.rule == "dempster" else [], finished
+            conflicts[t], stack = eng.step(stack, *arc)
+        if t % stride == 0 and t <= starts[-1]:
+            # the full pass starts with the first window
+            rows = [0, 1] if t == 0 else 1 + t // stride % ring
+            first, contour = eng.step(eng.prior_weights, *start)
+            conflicts[t, rows] = first[0]
+            stack[rows] = contour[0]
+    np.clip(conflicts, 0.0, 1.0, out=conflicts)
+    full = conflicts[:, 0]
+    resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS).tolist()
+    logs = conflicts[
+        starts[:, None] + np.arange(window_len),
+        1 + np.arange(len(starts))[:, None] % ring,
+    ]
+    windows = ((int(s), log.tolist()) for s, log in zip(starts, logs))
+    return full, resets if model.rule == "dempster" else [], windows
 
 
 def _windows_reference(trace, model, window_len, stride):

@@ -204,7 +204,12 @@ def _parse_prior(raw, frame: Frame, source: str) -> MassFunction | None:
             raise ParseError(
                 f"mass of {key!r} must be a number, got {value!r}", f"{source}:prior"
             )
-        arr[mask] += value
+        try:
+            arr[mask] += value
+        except OverflowError:  # an integer beyond the float range
+            raise ParseError(
+                f"mass of {key!r} is out of range", f"{source}:prior"
+            ) from None
     try:
         return MassFunction(frame, arr)
     except ValueError as exc:

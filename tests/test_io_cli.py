@@ -1,6 +1,7 @@
 """Model files, trace files, report emission, generation, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from evimon.forward import sliding_effectiveness
 from evimon.generate import generate_trace, manifest_lines
 from evimon.iohmm import EvIohmm
 from evimon.modelfile import model_from_dict, model_to_dict, parse_model, write_model
-from evimon.report import summary_dict, write_report_csv
+from evimon.report import summary_dict, write_report_csv, write_summary_json
 from evimon.trace import TraceRecord, read_trace, write_trace
 
 from model_builders import luminosity_model
@@ -104,6 +105,33 @@ def test_parse_model_bad_ramp_names_the_arc(tmp_path):
     assert "a < b" in str(err.value)
 
 
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+# name: (mutation of the luminosity document, located field)
+HOSTILE_DOCUMENTS = {
+    "state-name": (_set("states", [["x1"], ["x2"]]), "states[0]"),
+    "input-name": (_set("inputs", [["pres"]]), "inputs[0]"),
+    "output-name": (_set("outputs", ["lum", 3]), "outputs[1]"),
+    "variable": (
+        _set("transitions", 0, "constraints", 0, "variable", ["pres"]),
+        "transitions[0] (arc x1->x1).constraints[0]",
+    ),
+    "prior-null": (_set("prior", {"x1": None}), "prior"),
+    "prior-string": (_set("prior", {"x1": "abc"}), "prior"),
+    "prior-bool": (_set("prior", {"x1": True}), "prior"),
+    "prior-huge": (_set("prior", {"x1": 10**400}), "prior"),
+}
+
+
 def test_parse_model_structural_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -138,32 +166,6 @@ def test_parse_model_structural_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             parse_model(path)
         assert err.value.location == f"{path}:{location}"
-
-
-def _set(*keys_and_value):
-    *keys, last, value = keys_and_value
-
-    def mutate(doc):
-        for key in keys:
-            doc = doc[key]
-        doc[last] = value
-
-    return mutate
-
-
-# name: (mutation of the luminosity document, located field)
-HOSTILE_DOCUMENTS = {
-    "state-name": (_set("states", [["x1"], ["x2"]]), "states[0]"),
-    "input-name": (_set("inputs", [["pres"]]), "inputs[0]"),
-    "output-name": (_set("outputs", ["lum", 3]), "outputs[1]"),
-    "variable": (
-        _set("transitions", 0, "constraints", 0, "variable", ["pres"]),
-        "transitions[0] (arc x1->x1).constraints[0]",
-    ),
-    "prior-null": (_set("prior", {"x1": None}), "prior"),
-    "prior-string": (_set("prior", {"x1": "abc"}), "prior"),
-    "prior-bool": (_set("prior", {"x1": True}), "prior"),
-}
 
 
 def test_model_from_dict_rejects_unknown_state_and_duplicate_arc():
@@ -297,6 +299,72 @@ def test_report_window_column_respects_stride(tmp_path):
     lines = path.read_text().splitlines()[1:]
     filled = [i for i, line in enumerate(lines) if not line.endswith(",")]
     assert filled == [9, 14, 19, 24, 29]
+
+
+# sha256 of the report CSV of each bundled trace (W=10, stride 3) and of
+# its summary JSON under each rule.  The bundled models give every source
+# state the same transition row, so the rules write the same report; the
+# engine's rule-specific bits are pinned in test_forward.py.
+REPORT_DIGESTS = {
+    "luminosity_comfort_30": (
+        "ffd87beae455ec2364ec60adac7ee994a2b412d2fd3df4ca41dc587c482b82fb"
+    ),
+    "speed_limits_mixed_600": (
+        "65e26cd60d075e1f89f32e1018e7cb55441e8d83e058eea022508031eabe5458"
+    ),
+    "ride_comfort_mixed_120": (
+        "3866a34fbd718f6431cfa707d978ff33c44f00d7e3a8436828a348a56881b91c"
+    ),
+}
+SUMMARY_DIGESTS = {
+    ("luminosity_comfort_30", "dempster"): (
+        "5ca15daf73e5352c9ec3d0ce21d29e54cab213001f56651853bc4e78ab71760e"
+    ),
+    ("luminosity_comfort_30", "yager"): (
+        "74c3e30be910d2c5cc8a5b615121c6ec1b5b9fddba5a79bdc00ea7654017293b"
+    ),
+    ("luminosity_comfort_30", "dubois_prade"): (
+        "7c269661a66ef456cad68d1a19cd35c6f820e12e780ed4230f8ec8c4efb80a4c"
+    ),
+    ("speed_limits_mixed_600", "dempster"): (
+        "7fde43c5ab75f48301420560f0c95354d2e959d6e2582b6875443ff264254e43"
+    ),
+    ("speed_limits_mixed_600", "yager"): (
+        "9887ef5a9e8bd53e854e994094c3ba85b34ad071a08b06df45b05731fc379e32"
+    ),
+    ("speed_limits_mixed_600", "dubois_prade"): (
+        "4bda79f37adb36a61a9e0db914896e43038d64a43874c44b119b5515816235a5"
+    ),
+    ("ride_comfort_mixed_120", "dempster"): (
+        "a662f5fdf7d9caf2e7d5030d113009e614005544cb6f78fc058b3778650df121"
+    ),
+    ("ride_comfort_mixed_120", "yager"): (
+        "2ae64692c0bdcd04c6b98d0fe1fde19f3bd74bac66b3855904f688a0ad4533ca"
+    ),
+    ("ride_comfort_mixed_120", "dubois_prade"): (
+        "3b968c9a7d22a393ad64dd3efc10742749c14a7c1ff3be40ed02e78589599dc6"
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", ["dempster", "yager", "dubois_prade"])
+@pytest.mark.parametrize("trace_name", sorted(REPORT_DIGESTS))
+def test_bundled_report_bits_are_pinned(tmp_path, trace_name, rule):
+    # agreement with the reference to 1e-9 lets the last bits move; these
+    # digests do not.  A change that moves them must say so and re-pin.
+    model_name = trace_name.rsplit("_", 2)[0]
+    model = parse_model(bundled.model_path(model_name))
+    model = dataclasses.replace(model, rule=rule)
+    trace = read_trace(bundled.trace_path(trace_name))
+    report = sliding_effectiveness(trace, model, 10, 3)
+    write_report_csv(report, tmp_path / "r.csv")
+    write_summary_json(report, tmp_path / "s.json")
+    report_digest, summary_digest = (
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("r.csv", "s.json")
+    )
+    assert report_digest == REPORT_DIGESTS[trace_name]
+    assert summary_digest == SUMMARY_DIGESTS[trace_name, rule]
 
 
 # ---------------------------------------------------------------------------
