@@ -12,4 +12,4 @@ Equivalent to ``evimon demo``.
 
 from evimon.demo import run_walkthrough
 
-run_walkthrough(pres=3.5, lum=2.34)
+run_walkthrough()

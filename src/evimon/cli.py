@@ -27,9 +27,26 @@ def _resolve_model(spec: str):
     return parse_model(spec)
 
 
+def _require_columns(path, trace, model) -> None:
+    """Fail at the trace's header when it lacks a column the model reads.
+
+    Record 0's inputs gate nothing, so input columns are needed only when
+    there is a second record.  Columns declared but not read are optional.
+    """
+    sides = [("out", model.emissions, trace[0].outputs)]
+    if len(trace) > 1:
+        arcs = [cv for row in model.transitions for cv in row]
+        sides.insert(0, ("in", arcs, trace[1].inputs))
+    for prefix, vectors, present in sides:
+        for name in sorted({v for cv in vectors for v in cv.required_variables()}):
+            if name not in present:
+                raise ParseError(f"missing column '{prefix}.{name}'", f"{path}:1")
+
+
 def _cmd_eval(args) -> int:
     model = _resolve_model(args.model)
     trace = read_trace(args.trace)
+    _require_columns(args.trace, trace, model)
     if args.rule:
         model = dataclasses.replace(model, rule=args.rule)
     report = sliding_effectiveness(trace, model, args.window, args.stride)

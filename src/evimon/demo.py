@@ -19,6 +19,9 @@ from .iohmm import build_transition_rows, emission_bba
 from .modelfile import parse_model
 
 TOL = 1e-9
+# the one step the expected tables below were worked out for
+PRES = 3.5
+LUM = 2.34
 
 _SUBSETS = ("{}", "{x1}", "{x2}", "OMEGA")
 
@@ -43,20 +46,20 @@ def _check_table(title: str, rows: dict[str, np.ndarray], expected: dict[str, li
                 )
 
 
-def run_walkthrough(pres: float = 3.5, lum: float = 2.34) -> None:
+def run_walkthrough() -> None:
     """Print and verify every step of the worked example; raises on mismatch."""
     model = parse_model(bundled.model_path("luminosity"))
     frame = model.frame
-    print(f"Room-luminosity model, one step: pres={pres}, lum={lum}")
+    print(f"Room-luminosity model, one step: pres={PRES}, lum={LUM}")
 
-    poss = model.transition_possibilities({"pres": pres})
+    poss = model.transition_possibilities({"pres": PRES})
     _check_table(
         "Transition possibilities (per source state)",
         {"[x1]": poss[0], "[x2]": poss[1]},
         {"[x1]": [0.75, 0.0], "[x2]": [0.75, 0.0]},
     )
 
-    rows = build_transition_rows(model, {"pres": pres})
+    rows = build_transition_rows(model, {"pres": PRES})
     pl_rows = {
         f"[x{i+1}]": mass_to_plausibility(rows.singleton_rows[i]).values
         for i in range(2)
@@ -91,11 +94,11 @@ def run_walkthrough(pres: float = 3.5, lum: float = 2.34) -> None:
         {"m_hat": [0.25, 0.75, 0.0, 0.0]},
     )
 
-    e_poss = model.emission_possibilities({"lum": lum})
+    e_poss = model.emission_possibilities({"lum": LUM})
     _check_table(
         "Emission possibilities", {"poss": e_poss}, {"poss": [1.0, 0.0]}
     )
-    e = emission_bba(model, {"lum": lum})
+    e = emission_bba(model, {"lum": LUM})
     _check_table(
         "Emission plausibilities",
         {"pl": mass_to_plausibility(e).values},

@@ -20,21 +20,22 @@ row and emission is consonant, so a step's conflict is one minus the
 area of a union of rectangles, and the full pass and every open window
 advance together as one stack of contours.  Both paths agree to float
 precision.  A pass's conflict and the total that normalizes its weights
-come from one product, of the stack with each row's conflict next to a
-1: both sums add the same terms in the same order, so a step whose
-weighted rows all conflict totally reads exactly 1, not 1 - 2**-53.
+are two columns of one product, which add the same terms in the same
+order, so a step whose weighted rows all conflict totally reads exactly
+1, not 1 - 2**-53.
 
-Cost of the fast path.  What a step reads from the records alone (the
-curves, the arc and emission contours, and each row's conflict and
-transfer row, into which the rule is folded so that a step is one
-linear map of the contour, up to scale) is computed a block of records
-at a time, each distinct constraint vector once per block over a column
-of observations: O(N**2) work per record, O(N**3) under Dubois-Prade,
-and per block a number of numpy calls set by the model alone.  Per
-record the time loop then only maps a fixed stack of P <= 1 + ceil(W /
-stride) passes, the full pass and a ring of window rows, in O(P * N**2)
-and a handful of small numpy calls whatever the model; with few states
-those calls, not the arithmetic, are the cost.
+Cost of the fast path.  What a step reads from the records alone is one
+map ``M_t`` per record, (N + 1) x (N + 3), the rule folded in so that a
+step is linear in the contour up to scale (see ``ContourEngine.sweep``).
+The maps are computed a block of records at a time, each distinct
+constraint vector once per block over a column of observations: O((N +
+F) * N) work per record for a prior of F focal sets, O((N + F) * N**2)
+under Dubois-Prade, and per block a number of numpy calls set by the
+model alone.  Per record the time loop then multiplies a fixed stack of
+P <= 1 + ceil(W / stride) passes, the full pass and a ring of window
+rows, by ``M_t``: O(P * N**2) and a handful of small numpy calls
+whatever the model; with few states those calls, not the arithmetic,
+are the cost.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from .possibility import ConstraintVector, compile_constraint_vector
 from .trace import TraceRecord
 
 _CONTOUR_EPS = 1e-15
-# cells of the largest array the engine computes for a block of records at
-# once (records x rows x N): bounds the memory of the block arrays
+# cells of the largest array built for a block of records (records x rows x
+# N + 3, rows = N + 1 or the prior's focal sets): bounds a block's memory
 _BLOCK_CELLS = 1 << 12
 
 
@@ -204,9 +205,9 @@ class ContourEngine:
     some rectangle ``[0, P_ik] x [0, e_k]``: the row's conflict is one
     minus the area of their union.  Prediction reads only the running
     belief's contour, and the combination's contour follows from the rule,
-    so each pass is an N-vector and a stack of passes advances in one
-    matrix product.  The prior enters the same way, as a mixture of crisp
-    rows (one per focal set) weighted by its masses.
+    so each pass is an N-vector, plus a weight on the start row through
+    which the prior enters (a mixture of crisp rows, one per focal set),
+    and a stack of passes advances in one matrix product.
 
     Everything but that product depends on the records alone, so
     :meth:`sweep` computes it ahead, a block of records at a time, with
@@ -223,29 +224,30 @@ class ContourEngine:
         self._model = model  # whose scalar path locates a bad observation
         masses = model.prior.masses
         focal = np.flatnonzero(masses)
-        self.prior_weights = masses[focal][None, :]
-        self._prior_rows = ((focal[:, None] >> np.arange(n)) & 1).astype(float)
-        self._block = max(1, _BLOCK_CELLS // (n * max(n, len(focal))))
+        self._masses = masses[focal]
+        self._prior_rows = ((focal[None, :, None] >> np.arange(n)) & 1).astype(float)
+        self._block = max(1, _BLOCK_CELLS // ((n + 3) * max(n + 1, len(focal))))
 
-    def sweep(self, trace: Sequence[TraceRecord]) -> Iterator[tuple]:
-        """Per record, the operands of :meth:`step` that the records fix.
+    def sweep(self, trace: Sequence[TraceRecord]) -> Iterator[np.ndarray]:
+        """Per record, the map ``M_t`` that :meth:`step` applies to a stack.
 
-        Yields ``(arc, start)``: ``arc`` advances the passes from the
-        previous record (None at record 0, whose inputs gate nothing) and
-        ``start`` starts a pass at the record.
+        Its rows are the N arc rows from the previous record (ones at record
+        0, whose inputs gate nothing; no live pass weighs them) and the start
+        row, the prior's crisp rows mixed by its masses, each laid out as
+        :meth:`_cuts` lays it out.
         """
+        n = self._prior_rows.shape[2]
         for first in range(0, len(trace), self._block):
             records = trace[first : first + self._block]
             size = len(records)
             skip = int(first == 0)
             inputs, outputs = self._read(records, skip)
             e = self._emissions.values(outputs, size)
-            prior = np.broadcast_to(self._prior_rows, (size, *self._prior_rows.shape))
-            starts = zip(*self._cuts(prior, e))
             arcs = self._arcs.values(inputs, size - skip)
-            if skip:
-                yield None, next(starts)
-            yield from zip(zip(*self._cuts(arcs, e[skip:])), starts)
+            maps = np.ones((size, n + 1, n + 3))
+            maps[skip:, :n] = self._cuts(arcs, e[skip:])
+            maps[:, n] = self._masses @ self._cuts(self._prior_rows, e)
+            yield from maps
 
     def _read(self, records, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -268,18 +270,18 @@ class ContourEngine:
             self._model.emission_possibilities(rec.outputs)
         raise AssertionError("a block failed to read, but none of its records")
 
-    def _cuts(self, rows, e) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row tallies and transfer rows of a block of rows against its emissions.
+    def _cuts(self, rows, e) -> np.ndarray:
+        """Rows of ``M_t`` (records x rows x N + 3) of a block of rows.
 
-        ``rows`` is (records x rows x N) consonant contours.  Taken in the
-        descending order of ``e``, rectangle k adds the alpha-strip
-        ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so ``strips @ e_sorted``
-        is each row's union area.  A row's tally is its conflict, one minus
-        that area, next to a 1 (records x rows x 2).  Its transfer row is
-        what it sends to the next contour under the rule, so that a step is
-        one linear map: ``P_i * e`` under Dempster, the same plus the row's
-        conflict on every state under Yager, and the Dubois-Prade contour
-        of the row.
+        ``rows`` is (records x rows x N) consonant contours, or (1 x rows x
+        N) rows every record shares.  Taken in the descending order of
+        ``e``, rectangle k adds the alpha-strip ``(max_{l<k} P_il, P_ik]``
+        at height ``e_k``, so ``strips @ e_sorted`` is each row's union
+        area, and one minus it the row's conflict.  A row holds what it
+        sends to the next contour under the rule, so that a step is one
+        linear map (``P_i * e`` under Dempster, the same plus the conflict
+        on every state under Yager, the Dubois-Prade contour of the row),
+        then 0 (nothing flows back to the start row), its conflict and 1.
         """
         order = (-e).argsort(axis=1)
         e_sorted = np.take_along_axis(e, order, axis=1)
@@ -288,30 +290,30 @@ class ContourEngine:
         )
         strips = _increments(reach)
         area = strips @ e_sorted[:, :, None]
-        tally = np.concatenate((1.0 - area, np.ones_like(area)), axis=2)
         if self.rule == "dubois_prade":
-            return tally, _dubois_prade_rows(rows, e, e_sorted, reach, strips)
-        transfer = rows * e[:, None, :]
-        if self.rule == "yager":
-            transfer += 1.0 - area
-        return tally, transfer
+            transfer = _dubois_prade_rows(rows, e, e_sorted, reach, strips)
+        else:
+            transfer = rows * e[:, None, :]
+            if self.rule == "yager":
+                transfer += 1.0 - area
+        readout = (np.zeros_like(area), 1.0 - area, np.ones_like(area))
+        return np.concatenate((transfer, *readout), axis=2)
 
-    def step(
-        self, stack: np.ndarray, tally: np.ndarray, transfer: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Conflicts and next contours of a stack of passes.
+    def step(self, stack, operand) -> tuple[np.ndarray, np.ndarray]:
+        """Conflicts and next stack of a stack of passes.
 
-        ``stack`` is (passes x rows): each pass mixes the rows in proportion
-        to its entries, which need not sum to 1.  ``tally`` and ``transfer``
-        are one record's operands from :meth:`sweep`.
+        ``stack`` is (passes x N + 1): each pass mixes the rows of one
+        record's ``M_t`` in proportion to its entries, which need not sum
+        to 1.  A pass's conflict and total add the same terms in the same
+        order: if its weighted rows all conflict totally, it reads exactly 1.
         """
-        sums = stack @ tally
-        conflicts = sums[:, 0] / sums[:, 1]
-        contours = (stack / sums[:, 1:]) @ transfer
+        out = stack @ operand
+        conflicts = out[:, -2] / out[:, -1]
+        stack = out[:, :-2] / out[:, -1:]
         if self.rule == "dempster":
             # model breakdown: keep monitoring from total ignorance
-            contours[conflicts >= 1.0 - _TOTAL_CONFLICT_EPS] = 1.0
-        return conflicts, contours
+            stack[conflicts >= 1.0 - _TOTAL_CONFLICT_EPS, :-1] = 1.0
+        return conflicts, stack
 
 
 class _Curves:
@@ -356,7 +358,7 @@ def _dubois_prade_rows(rows, e, e_sorted, reach, strips) -> np.ndarray:
     ``D_ij = P_ij e_j + Pr(disjoint, a <= P_ij) + Pr(disjoint, b <= e_j)
     + (1 - max_k P_ik)(1 - max e)``; the last term is the pair of empty
     cuts, whose union is empty and moves to the whole frame.  Every
-    operand carries a leading axis of records.
+    operand carries a leading axis of records, or of 1.
     """
     e = e[:, None, :]
     # union area left of a = P_ij (a row at a time, to bound the memory),
@@ -467,7 +469,7 @@ def sliding_effectiveness(
 
 
 def _windows_fast(trace, model, window_len, stride):
-    """Time-major sweep advancing one stack of contours per record.
+    """Time-major sweep advancing one stack of passes, one step per record.
 
     Row 0 of the stack is the full pass.  At most ``ring`` windows are open
     at once, so window k, which starts at record ``k * stride``, owns row
@@ -479,17 +481,15 @@ def _windows_fast(trace, model, window_len, stride):
     starts = np.arange(0, len(trace) - window_len + 1, stride)
     ring = min(-(-window_len // stride), len(starts))
     conflicts = np.empty((len(trace), 1 + ring))
-    # idle rows hold any contour that keeps their step finite
-    stack = np.ones((1 + ring, model.frame.size))
-    for t, (arc, start) in enumerate(eng.sweep(trace)):
-        if t:
-            conflicts[t], stack = eng.step(stack, *arc)
+    n = model.frame.size
+    start = np.eye(1, n + 1, n)
+    # idle rows hold any weights that keep their step finite
+    stack = np.ones((1 + ring, n + 1))
+    for t, operand in enumerate(eng.sweep(trace)):
         if t % stride == 0 and t <= starts[-1]:
-            # the full pass starts with the first window
-            rows = [0, 1] if t == 0 else 1 + t // stride % ring
-            first, contour = eng.step(eng.prior_weights, *start)
-            conflicts[t, rows] = first[0]
-            stack[rows] = contour[0]
+            # a pass starts on the start row; the full pass with window 0
+            stack[[0, 1] if t == 0 else 1 + t // stride % ring] = start
+        conflicts[t], stack = eng.step(stack, operand)
     np.clip(conflicts, 0.0, 1.0, out=conflicts)
     full = conflicts[:, 0]
     resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS).tolist()

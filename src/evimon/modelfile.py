@@ -42,13 +42,23 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object", source)
 
-    def need(key, kind, where="$"):
+    def need(key, kind):
         if key not in doc:
-            raise ParseError(f"missing field {key!r}", f"{source}:{where}")
+            raise ParseError(f"missing field {key!r}", f"{source}:$")
         value = doc[key]
-        if not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ParseError(
-                f"field {key!r} must be {kind.__name__}", f"{source}:{where}"
+                f"field {key!r} must be {kind.__name__}", f"{source}:{key}"
+            )
+        return value
+
+    def flag(entry, key, where):
+        """A JSON boolean, false when absent: ``"no"`` is not false."""
+        value = entry.get(key, False)
+        if not isinstance(value, bool):
+            raise ParseError(
+                f"{key!r} must be true or false, got {value!r}",
+                f"{source}:{where}.{key}",
             )
         return value
 
@@ -84,6 +94,12 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
         if kind is None:
             raise ParseError("constraint is missing 'kind'", f"{source}:{where}")
         params = entry.get("params", [])
+        if not isinstance(params, list):
+            raise ParseError("params must be a list", f"{source}:{where}.params")
+        params = [
+            _number(p, "param", f"{source}:{where}.params[{k}]")
+            for k, p in enumerate(params)
+        ]
         variable = entry.get("variable")
         if variable is None or variable == "_":
             if kind != "constant":
@@ -100,7 +116,7 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
             raise ValidationError(
                 f"{source}:{where}: variable {variable!r} is not declared"
             )
-        inhibited = bool(entry.get("inhibited", False))
+        inhibited = flag(entry, "inhibited", where)
         try:
             dist = PossibilityDistribution(kind, tuple(params))
         except (TypeError, ValueError) as exc:
@@ -133,7 +149,7 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
             )
         if (src, dst) in arcs:
             raise ValidationError(f"{source}:{where}: duplicate arc {src}->{dst}")
-        if arc.get("forbidden"):
+        if flag(arc, "forbidden", f"{where} (arc {src}->{dst})"):
             arcs[(src, dst)] = ConstraintVector.forbidden()
         else:
             arcs[(src, dst)] = build_vector(
@@ -200,20 +216,21 @@ def _parse_prior(raw, frame: Frame, source: str) -> MassFunction | None:
             mask = frame.mask_of(labels)
         except KeyError as exc:
             raise ValidationError(f"{source}:prior: {exc}") from exc
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ParseError(
-                f"mass of {key!r} must be a number, got {value!r}", f"{source}:prior"
-            )
-        try:
-            arr[mask] += value
-        except OverflowError:  # an integer beyond the float range
-            raise ParseError(
-                f"mass of {key!r} is out of range", f"{source}:prior"
-            ) from None
+        arr[mask] += _number(value, f"mass of {key!r}", f"{source}:prior")
     try:
         return MassFunction(frame, arr)
     except ValueError as exc:
         raise ValidationError(f"{source}:prior: {exc}") from exc
+
+
+def _number(value, what: str, where: str) -> float:
+    """A JSON number as a float; bools and integers beyond the float range fail."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParseError(f"{what} must be a number, got {value!r}", where)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is out of range", where) from None
 
 
 def model_to_dict(model: EvIohmm) -> dict:

@@ -492,26 +492,36 @@ def test_graded_near_total_conflict_agrees_with_reference():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_block_length_does_not_change_the_report(rule, monkeypatch):
-    # the engine evaluates the records' side of each step a block at a
-    # time; blocks of 1, 2 and 5 records must give the very same floats
+    # the engine builds each record's map a block of records at a time;
+    # blocks of 1, 2 and 5 records must give the very same floats, also
+    # under a prior of several focal sets (one of them empty), whose start
+    # row is part of every block's maps
     from evimon import bundled, forward
     from evimon.iohmm import EvIohmm
     from evimon.modelfile import parse_model
     from evimon.trace import read_trace
 
     base = parse_model(bundled.model_path("speed_limits"))
-    model = EvIohmm(
-        base.frame, base.transitions, base.emissions, rule=rule,
-        input_variables=base.input_variables, output_variables=base.output_variables,
-    )
+    n = base.frame.size
+    masses = np.zeros(1 << n)
+    masses[[0, 1, 0b110, (1 << n) - 1]] = [0.1, 0.2, 0.3, 0.4]
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
-    default = sliding_effectiveness(trace, model, 7, 2)
-    n = model.frame.size
-    for records_per_block in (1, 2, 5):
-        monkeypatch.setattr(forward, "_BLOCK_CELLS", records_per_block * n * n)
-        report = sliding_effectiveness(trace, model, 7, 2)
-        assert report.steps == default.steps
-        assert report.windows == default.windows
+    for prior in (None, MassFunction(base.frame, masses)):
+        model = EvIohmm(
+            base.frame, base.transitions, base.emissions, prior=prior, rule=rule,
+            input_variables=base.input_variables,
+            output_variables=base.output_variables,
+        )
+        default = sliding_effectiveness(trace, model, 7, 2)
+        # one (N + 1) x (N + 3) map per record
+        for records_per_block in (1, 2, 5):
+            monkeypatch.setattr(
+                forward, "_BLOCK_CELLS", records_per_block * (n + 1) * (n + 3)
+            )
+            assert forward.ContourEngine(model)._block == records_per_block
+            report = sliding_effectiveness(trace, model, 7, 2)
+            assert report.steps == default.steps
+            assert report.windows == default.windows
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -531,9 +541,9 @@ def test_window_ring_rows_follow_their_windows(rule):
 # five seeded random models per rule, whose transition rows depend on the
 # source state
 ENGINE_DIGESTS = {
-    "dempster": "87722ce24fb0029f58414ea44e99829b54d363ff5a266cff4c319df90b9e1902",
-    "yager": "faf2bb921438722aacd4173a7bb767a694a9924ede110970cb618585ac20be37",
-    "dubois_prade": "5dac196383695c0b526afdd453d60f0b20a18967fc4b9720b62ad45f1ab93a67",
+    "dempster": "ed6c571cf777bab357c155fdb62bc04b867c93dfd27ee0edabf77d707d2e9d6c",
+    "yager": "b2e88bfadc5a5b41ba3f46dba08fb1626a22d33774e80aaf7d895749d81b329d",
+    "dubois_prade": "92742b4afc5cd7f33f6546ec3634edeb820a787bc4c1cdd3cdfa9625332fabc2",
 }
 
 

@@ -129,6 +129,23 @@ HOSTILE_DOCUMENTS = {
     "prior-string": (_set("prior", {"x1": "abc"}), "prior"),
     "prior-bool": (_set("prior", {"x1": True}), "prior"),
     "prior-huge": (_set("prior", {"x1": 10**400}), "prior"),
+    "version-bool": (_set("format_version", True), "format_version"),
+    "forbidden-string": (
+        _set("transitions", 0, "forbidden", "no"),
+        "transitions[0] (arc x1->x1).forbidden",
+    ),
+    "inhibited-string": (
+        _set("transitions", 0, "constraints", 0, "inhibited", "no"),
+        "transitions[0] (arc x1->x1).constraints[0].inhibited",
+    ),
+    "param-bool": (
+        _set("transitions", 0, "constraints", 0, "params", 0, True),
+        "transitions[0] (arc x1->x1).constraints[0].params[0]",
+    ),
+    "param-huge": (
+        _set("transitions", 0, "constraints", 0, "params", 1, 10**400),
+        "transitions[0] (arc x1->x1).constraints[0].params[1]",
+    ),
 }
 
 
@@ -567,15 +584,51 @@ def test_cli_eval_missing_column_is_exit_1(tmp_path):
     assert "record 2" in proc.stderr
 
 
-def test_cli_eval_runtime_error_is_exit_2(tmp_path):
-    # columns parse fine but the model needs a variable the trace lacks
-    bad = tmp_path / "bad.csv"
-    bad.write_text("timestamp,in.other,out.lum\n0,,1.0\n1,2.0,2.0\n")
+def test_cli_runtime_error_is_exit_2(tmp_path):
+    # the model parses, but emissions pinned below possibility 1 leave no
+    # comfort zone to generate
+    doc = json.loads(bundled.model_path("luminosity").read_text())
+    for entry in doc["emissions"]:
+        entry["constraints"] = [{"kind": "constant", "params": [0.5]}]
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
     proc = run_cli(
-        "eval", "--model", "luminosity", "--trace", str(bad), "--window", "2"
+        "gen-trace", "--model", str(model), "--scenario", "comfort",
+        "--out", str(tmp_path / "t.csv"),
     )
-    assert proc.returncode == 2
-    assert "pres" in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert "comfort" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("timestamp,in.other,out.lum\n0,,1.0\n1,2.0,2.0\n", "in.pres"),
+        ("timestamp,in.pres\n0,\n1,2.0\n", "out.lum"),
+    ],
+    ids=["input", "output"],
+)
+def test_cli_eval_trace_without_a_read_column_exits_1(tmp_path, text, column):
+    # located at the trace's header, not as an unlocated missing
+    # observation once the engine reaches the record
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    proc = run_cli("eval", "--model", "luminosity", "--trace", str(path), "--window", "2")
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == f"error: {path}:1: missing column {column!r}\n"
+
+
+def test_cli_eval_columns_not_read_are_optional(tmp_path):
+    # a declared output no constraint reads, and the inputs of a trace
+    # whose only record is record 0, which gates nothing
+    doc = json.loads(bundled.model_path("luminosity").read_text())
+    doc["outputs"].append("temp")
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    path = tmp_path / "t.csv"
+    path.write_text("timestamp,out.lum\n0,1.0\n")
+    proc = run_cli("eval", "--model", str(model), "--trace", str(path), "--window", "1")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_eval_first_record_without_inputs(tmp_path):
