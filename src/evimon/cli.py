@@ -1,7 +1,7 @@
 """Command-line front end: evaluate traces, run the demo, generate traces.
 
-Exit codes: 0 success, 1 parse/validation problem with the inputs, 2
-evaluation failure at run time.
+Exit codes: 0 success, 1 parse/validation problem with the inputs or an
+output path that cannot be written, 2 evaluation failure at run time.
 """
 
 from __future__ import annotations
@@ -129,6 +129,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ValidationError, TraceTooShort, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reads fail as ParseError: this is an output
+        print(f"error: {exc.filename}: cannot write: {exc.strerror}", file=sys.stderr)
         return 1
     except EvimonError as exc:
         print(f"error: {exc}", file=sys.stderr)

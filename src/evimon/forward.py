@@ -17,8 +17,8 @@ Two implementations are provided: a reference path through the public
 mass-function objects and materialized conditional rows, and a fast path
 that carries each pass as its contour (see ``ContourEngine``).  Every
 row and emission is consonant, so a step's conflict is one minus the
-area of a union of rectangles, and the full pass and every open window
-advance together as one stack of contours.  Both paths agree to float
+area of a union of rectangles, and the windows ready at once advance
+together as one stack of contours.  Both paths agree to float
 precision.  A pass's conflict and the total that normalizes its weights
 are two columns of one product, which add the same terms in the same
 order, so a step whose weighted rows all conflict totally reads exactly
@@ -31,11 +31,10 @@ The maps are computed a block of records at a time, each distinct
 constraint vector once per block over a column of observations: O((N +
 F) * N) work per record for a prior of F focal sets, O((N + F) * N**2)
 under Dubois-Prade, and per block a number of numpy calls set by the
-model alone.  Per record the time loop then multiplies a fixed stack of
-P <= 1 + ceil(W / stride) passes, the full pass and a ring of window
-rows, by ``M_t``: O(P * N**2) and a handful of small numpy calls
-whatever the model; with few states those calls, not the arithmetic,
-are the cost.
+model alone.  The full pass then takes a step per record, and the windows
+a block makes ready advance together, offset by offset over a buffer of
+pending maps: W steps per block.  A step is O(N**2) per pass; with few
+states its small numpy calls, not the arithmetic, are the cost.
 """
 
 from __future__ import annotations
@@ -67,9 +66,9 @@ from .possibility import ConstraintVector, compile_constraint_vector
 from .trace import TraceRecord
 
 _CONTOUR_EPS = 1e-15
-# cells of the largest array built for a block of records (records x rows x
-# N + 3, rows = N + 1 or the prior's focal sets): bounds a block's memory
-_BLOCK_CELLS = 1 << 12
+# cells of the largest array of a block of records (records x rows x N + 3,
+# rows = N + 1 or focal sets): bounds its memory; windows take W steps a block
+_BLOCK_CELLS = 1 << 14
 
 
 def _clip_unit(value: float) -> float:
@@ -227,14 +226,15 @@ class ContourEngine:
         self._masses = masses[focal]
         self._prior_rows = ((focal[None, :, None] >> np.arange(n)) & 1).astype(float)
         self._block = max(1, _BLOCK_CELLS // ((n + 3) * max(n + 1, len(focal))))
+        self.start = np.eye(1, n + 1, n)
 
     def sweep(self, trace: Sequence[TraceRecord]) -> Iterator[np.ndarray]:
-        """Per record, the map ``M_t`` that :meth:`step` applies to a stack.
+        """Per block of B records, the maps ``M_t`` (B x N + 1 x N + 3).
 
-        Its rows are the N arc rows from the previous record (ones at record
-        0, whose inputs gate nothing; no live pass weighs them) and the start
-        row, the prior's crisp rows mixed by its masses, each laid out as
-        :meth:`_cuts` lays it out.
+        A map's rows are the N arc rows from the previous record (ones at
+        record 0, whose inputs gate nothing; no live pass weighs them) and
+        the start row, the prior's crisp rows mixed by its masses, each laid
+        out as :meth:`_cuts` lays it out.
         """
         n = self._prior_rows.shape[2]
         for first in range(0, len(trace), self._block):
@@ -247,7 +247,7 @@ class ContourEngine:
             maps = np.ones((size, n + 1, n + 3))
             maps[skip:, :n] = self._cuts(arcs, e[skip:])
             maps[:, n] = self._masses @ self._cuts(self._prior_rows, e)
-            yield from maps
+            yield maps
 
     def _read(self, records, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -299,15 +299,15 @@ class ContourEngine:
         readout = (np.zeros_like(area), 1.0 - area, np.ones_like(area))
         return np.concatenate((transfer, *readout), axis=2)
 
-    def step(self, stack, operand) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, stack, maps) -> tuple[np.ndarray, np.ndarray]:
         """Conflicts and next stack of a stack of passes.
 
-        ``stack`` is (passes x N + 1): each pass mixes the rows of one
-        record's ``M_t`` in proportion to its entries, which need not sum
-        to 1.  A pass's conflict and total add the same terms in the same
-        order: if its weighted rows all conflict totally, it reads exactly 1.
+        ``stack`` is (passes x N + 1) and ``maps`` one ``M_t`` or one per
+        pass; a pass mixes its map's rows by its entries, which need not sum
+        to 1.  Its conflict and total add the same terms in the same order:
+        if its weighted rows all conflict totally, it reads exactly 1.
         """
-        out = stack @ operand
+        out = (stack[:, None, :] @ maps)[:, 0]
         conflicts = out[:, -2] / out[:, -1]
         stack = out[:, :-2] / out[:, -1:]
         if self.rule == "dempster":
@@ -468,36 +468,44 @@ def sliding_effectiveness(
     return EffectivenessReport(steps, tuple(windows), window_len, stride, model.rule)
 
 
-def _windows_fast(trace, model, window_len, stride):
-    """Time-major sweep advancing one stack of passes, one step per record.
+def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block, its maps and the conflicts of the pass over the whole trace."""
+    state = eng.start
+    for maps in eng.sweep(trace):
+        conflicts = np.empty(len(maps))
+        for t, operand in enumerate(maps):
+            conflicts[t : t + 1], state = eng.step(state, operand)
+        yield maps, np.clip(conflicts, 0.0, 1.0, out=conflicts)
 
-    Row 0 of the stack is the full pass.  At most ``ring`` windows are open
-    at once, so window k, which starts at record ``k * stride``, owns row
-    ``1 + k % ring``: the window that owned it before has closed.  Every
-    row advances on every record, and its conflicts fill one column of a
-    (records x rows) matrix, from which each window's log is gathered.
+
+def _windows_fast(trace, model, window_len, stride):
+    """The full pass, and the windows by offset over a buffer of pending maps.
+
+    Windows whose last map a block brings start on the start row and take
+    W steps together over strided views of the buffer.  Its first map is
+    record ``first``'s; it then drops the maps before the next window's
+    start, never more than it holds, as a stride can skip whole blocks.
     """
     eng = ContourEngine(model)
-    starts = np.arange(0, len(trace) - window_len + 1, stride)
-    ring = min(-(-window_len // stride), len(starts))
-    conflicts = np.empty((len(trace), 1 + ring))
-    n = model.frame.size
-    start = np.eye(1, n + 1, n)
-    # idle rows hold any weights that keep their step finite
-    stack = np.ones((1 + ring, n + 1))
-    for t, operand in enumerate(eng.sweep(trace)):
-        if t % stride == 0 and t <= starts[-1]:
-            # a pass starts on the start row; the full pass with window 0
-            stack[[0, 1] if t == 0 else 1 + t // stride % ring] = start
-        conflicts[t], stack = eng.step(stack, operand)
-    np.clip(conflicts, 0.0, 1.0, out=conflicts)
-    full = conflicts[:, 0]
+    n_windows = (len(trace) - window_len) // stride + 1
+    pending, first, opened, full, logs = None, 0, 0, [], []
+    for maps, conflicts in _full_pass(eng, trace):
+        full.append(conflicts)
+        pending = maps if pending is None else np.concatenate((pending, maps))
+        ready = min(n_windows, (first + len(pending) - window_len) // stride + 1)
+        if ready > opened:
+            lo, hi = opened * stride - first, ready * stride - first
+            states = eng.start.repeat(ready - opened, 0)
+            log = np.empty((ready - opened, window_len))
+            for j in range(window_len):
+                log[:, j], states = eng.step(states, pending[lo + j : hi + j : stride])
+            logs.append(np.clip(log, 0.0, 1.0, out=log))
+            opened = ready
+        drop = min(opened * stride - first, len(pending))
+        pending, first = pending[drop:], first + drop
+    full = np.concatenate(full)
     resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS).tolist()
-    logs = conflicts[
-        starts[:, None] + np.arange(window_len),
-        1 + np.arange(len(starts))[:, None] % ring,
-    ]
-    windows = ((int(s), log.tolist()) for s, log in zip(starts, logs))
+    windows = ((k * stride, log.tolist()) for k, log in enumerate(np.concatenate(logs)))
     return full, resets if model.rule == "dempster" else [], windows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .belief import _TOTAL_CONFLICT_EPS
 from .errors import GenerationError
-from .forward import _windows_fast
+from .forward import ContourEngine, _full_pass
 from .iohmm import EvIohmm
 from .possibility import ConstraintVector, PossibilityDistribution
 from .trace import TraceRecord
@@ -98,8 +98,7 @@ def breach_values(model: EvIohmm, rng) -> dict[str, float]:
         values += [(a + b) / 2.0 for a, b in zip(points, points[1:]) if b > a]
         candidates.append(values)
 
-    combos = itertools.islice(itertools.product(*candidates), 512)
-    for combo in combos:
+    for combo in itertools.islice(itertools.product(*candidates), 512):
         outputs = dict(zip(model.output_variables, combo))
         if float(model.emission_possibilities(outputs).max()) == 0.0:
             return outputs
@@ -145,23 +144,19 @@ def generate_trace(
         )
 
     # arcs usable for comfort steps: all active entries have comfort zones
-    comfort_arcs: list[list[int]] = []
-    for i in range(n):
-        dests = []
-        for j in range(n):
-            if vector_values(model.transitions[i][j], comfort_value) is not None:
-                dests.append(j)
-        comfort_arcs.append(dests)
-    if not any(comfort_arcs[i] for i in range(n)):
+    comfort_arcs = [
+        [j for j, cv in enumerate(row) if vector_values(cv, comfort_value) is not None]
+        for row in model.transitions
+    ]
+    if not any(comfort_arcs):
         raise GenerationError("no transition arc has a comfort zone")
 
-    if scenario == "tolerance":
-        if all(
-            vector_values(cv, tolerance_value) is None for cv in model.emissions
-        ):
-            raise GenerationError(
-                "no emission curve has a tolerance band (all-crisp model?)"
-            )
+    if scenario == "tolerance" and all(
+        vector_values(cv, tolerance_value) is None for cv in model.emissions
+    ):
+        raise GenerationError(
+            "no emission curve has a tolerance band (all-crisp model?)"
+        )
     breach_out = breach_values(model, rng) if scenario in ("breach", "mixed") else None
 
     # mark which records deviate from comfort
@@ -194,9 +189,7 @@ def generate_trace(
                     f"state {frame.labels[prev]} has no outgoing comfort arc"
                 )
             state = int(rng.choice(choices))
-            inputs = dict(
-                vector_values(model.transitions[prev][state], comfort_value)
-            )
+            inputs = dict(vector_values(model.transitions[prev][state], comfort_value))
             for var in model.input_variables:
                 inputs.setdefault(var, 0.0)
 
@@ -225,9 +218,8 @@ def generate_trace(
 
 def _verify_zones(model, records, zones) -> None:
     """Check the constructed classes against the actual forward pass."""
-    # the sweep's full pass with a single one-record window; a report's
-    # per-step rows would add megabytes to the peak memory on long traces
-    conflicts, _, _ = _windows_fast(records, model, 1, len(records))
+    # the full pass alone, a block at a time: a report would add megabytes
+    conflicts = (c for _, cs in _full_pass(ContourEngine(model), records) for c in cs)
     for t, (zone, conflict) in enumerate(zip(zones, conflicts)):
         ok = (
             conflict <= _TOTAL_CONFLICT_EPS

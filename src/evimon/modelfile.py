@@ -77,6 +77,8 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
             f"unsupported format_version {version} (expected {FORMAT_VERSION})", source
         )
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {name!r}", f"{source}:name")
     states = names("states")
     inputs = names("inputs")
     outputs = names("outputs")

@@ -321,6 +321,10 @@ def test_sliding_window_too_short():
 def assert_engines_agree(records, model, window_len, stride):
     fast = sliding_effectiveness(records, model, window_len, stride, engine="fast")
     ref = sliding_effectiveness(records, model, window_len, stride, engine="reference")
+    return assert_reports_agree(fast, ref)
+
+
+def assert_reports_agree(fast, ref):
     assert len(fast.steps) == len(ref.steps)
     for a, b in zip(fast.steps, ref.steps):
         assert a.conflict == pytest.approx(b.conflict, abs=TOL)
@@ -495,40 +499,66 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
     # the engine builds each record's map a block of records at a time;
     # blocks of 1, 2 and 5 records must give the very same floats, also
     # under a prior of several focal sets (one of them empty), whose start
-    # row is part of every block's maps
+    # row is part of every block's maps.  Windows that skip whole blocks
+    # (stride above the block length), cross blocks (W above it) or span
+    # the trace must agree with the reference: a buffer of pending maps
+    # whose first record moves past the records read misplaces them.
     from evimon import bundled, forward
     from evimon.iohmm import EvIohmm
     from evimon.modelfile import parse_model
     from evimon.trace import read_trace
 
-    base = parse_model(bundled.model_path("speed_limits"))
-    n = base.frame.size
-    masses = np.zeros(1 << n)
-    masses[[0, 1, 0b110, (1 << n) - 1]] = [0.1, 0.2, 0.3, 0.4]
-    trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
-    for prior in (None, MassFunction(base.frame, masses)):
-        model = EvIohmm(
-            base.frame, base.transitions, base.emissions, prior=prior, rule=rule,
-            input_variables=base.input_variables,
-            output_variables=base.output_variables,
-        )
-        default = sliding_effectiveness(trace, model, 7, 2)
+    def with_priors(base):
+        n = base.frame.size
+        masses = np.zeros(1 << n)
+        masses[[0, 1, 0b110, (1 << n) - 1]] = [0.1, 0.2, 0.3, 0.4]
+        for prior in (None, MassFunction(base.frame, masses)):
+            yield EvIohmm(
+                base.frame, base.transitions, base.emissions, prior=prior, rule=rule,
+                input_variables=base.input_variables,
+                output_variables=base.output_variables,
+            )
+
+    def block_lengths(model):
         # one (N + 1) x (N + 3) map per record
+        n = model.frame.size
         for records_per_block in (1, 2, 5):
             monkeypatch.setattr(
                 forward, "_BLOCK_CELLS", records_per_block * (n + 1) * (n + 3)
             )
             assert forward.ContourEngine(model)._block == records_per_block
+            yield
+        monkeypatch.undo()
+
+    trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
+    for model in with_priors(parse_model(bundled.model_path("speed_limits"))):
+        default = sliding_effectiveness(trace, model, 7, 2)
+        for _ in block_lengths(model):
             report = sliding_effectiveness(trace, model, 7, 2)
             assert report.steps == default.steps
             assert report.windows == default.windows
 
+    # graded conflicts on every record, so that a window read from the
+    # wrong records shows
+    rng = np.random.default_rng(7)
+    small = random_possibilistic_model(rng, n_states=3, rule=rule)
+    short = random_trace(rng, 16)
+    cases = [(2, 11), (1, 7), (3, 6), (8, 3), (len(short), 1)]
+    for model in with_priors(small):
+        refs = {
+            case: sliding_effectiveness(short, model, *case, engine="reference")
+            for case in cases
+        }
+        for _ in block_lengths(model):
+            for case, ref in refs.items():
+                assert_reports_agree(sliding_effectiveness(short, model, *case), ref)
+
 
 @pytest.mark.parametrize("rule", RULES)
-def test_window_ring_rows_follow_their_windows(rule):
-    # window k owns stack row 1 + k % ring.  Strides above 1, windows
-    # shorter than their stride and W = T catch a row chosen by record
-    # number, or a ring too short for the windows open at once.
+def test_window_grid_agrees_with_reference(rule):
+    # windows advance by offset over a buffer of pending maps.  Strides
+    # above 1, windows shorter than their stride, several windows ready
+    # in one block and W = T catch a window read from the wrong maps.
     rng = np.random.default_rng(91)
     model = random_possibilistic_model(rng, n_states=3, rule=rule)
     records = random_trace(rng, 25)
@@ -542,8 +572,8 @@ def test_window_ring_rows_follow_their_windows(rule):
 # source state
 ENGINE_DIGESTS = {
     "dempster": "ed6c571cf777bab357c155fdb62bc04b867c93dfd27ee0edabf77d707d2e9d6c",
-    "yager": "b2e88bfadc5a5b41ba3f46dba08fb1626a22d33774e80aaf7d895749d81b329d",
-    "dubois_prade": "92742b4afc5cd7f33f6546ec3634edeb820a787bc4c1cdd3cdfa9625332fabc2",
+    "yager": "5d5a1340adc2683f67176e0a7deff4153c862bf6a230e55b65b17bc9d7f3b6d8",
+    "dubois_prade": "cf7350a51bea78d82de4d322c86583049a199cc2b4501a2330bc7a6973ff2f2f",
 }
 
 

@@ -130,6 +130,7 @@ HOSTILE_DOCUMENTS = {
     "prior-bool": (_set("prior", {"x1": True}), "prior"),
     "prior-huge": (_set("prior", {"x1": 10**400}), "prior"),
     "version-bool": (_set("format_version", True), "format_version"),
+    "name-object": (_set("name", {"a": 1}), "name"),
     "forbidden-string": (
         _set("transitions", 0, "forbidden", "no"),
         "transitions[0] (arc x1->x1).forbidden",
@@ -543,6 +544,32 @@ def test_cli_eval_hostile_model_exits_1_without_traceback(tmp_path, name):
     )
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.startswith(f"error: {path}:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag, target",
+    [
+        ("eval", "--out", "missing/r.csv"),
+        ("eval", "--summary", "missing/s.json"),
+        ("eval", "--out", "."),
+        ("gen-trace", "--out", "missing/x.csv"),
+        # the trace is written, its manifest path is a directory
+        ("gen-trace", "--out", "x.csv"),
+    ],
+)
+def test_cli_unwritable_output_exits_1_without_traceback(
+    tmp_path, command, flag, target
+):
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    path = tmp_path / target
+    args = ["--model", "luminosity"]
+    if command == "eval":
+        args += ["--trace", str(bundled.trace_path("luminosity_comfort_30"))]
+    proc = run_cli(command, *args, flag, str(path))
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith("error: ")
+    assert str(path) in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
