@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import bundled
@@ -43,7 +44,21 @@ def _require_columns(path, trace, model) -> None:
                 raise ParseError(f"missing column '{prefix}.{name}'", f"{path}:1")
 
 
+def _check_writable(*paths) -> None:
+    """Fail before any work on an output path that cannot be written.
+
+    Opening for append truncates nothing; a file the check creates is
+    removed again, so a failure leaves no output behind.
+    """
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_eval(args) -> int:
+    _check_writable(args.out, args.summary)
     model = _resolve_model(args.model)
     trace = read_trace(args.trace)
     _require_columns(args.trace, trace, model)
@@ -67,6 +82,10 @@ def _cmd_demo(_args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
+    if args.length < 1:
+        raise ValueError(f"--length must be >= 1, got {args.length}")
+    manifest_path = f"{args.out}.manifest.json"
+    _check_writable(args.out, manifest_path)
     model = _resolve_model(args.model)
     records, zones = generate_trace(model, args.scenario, args.length, args.seed)
     write_trace(args.out, records, model.input_variables, model.output_variables)
@@ -77,7 +96,6 @@ def _cmd_gen_trace(args) -> int:
         "records": len(records),
         "zones": manifest_lines(zones),
     }
-    manifest_path = f"{args.out}.manifest.json"
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -31,10 +31,14 @@ The maps are computed a block of records at a time, each distinct
 constraint vector once per block over a column of observations: O((N +
 F) * N) work per record for a prior of F focal sets, O((N + F) * N**2)
 under Dubois-Prade, and per block a number of numpy calls set by the
-model alone.  The full pass then takes a step per record, and the windows
-a block makes ready advance together, offset by offset over a buffer of
-pending maps: W steps per block.  A step is O(N**2) per pass; with few
-states its small numpy calls, not the arithmetic, are the cost.
+model alone.  The full pass scans each block of B maps in C = ceil(B / L)
+chunks of L = isqrt(B) records (see ``_full_pass``): 2L + C iterations
+of numpy calls per block, not B steps.  A chunk with a step whose
+Dempster reset its rows' conflicts do not settle, by a conservative
+test, is walked record by record.  The windows a block makes ready
+advance together, offset by offset over a buffer of pending maps: W
+steps per block.  A step is O(N**2) per pass; with few states its small
+numpy calls, not the arithmetic, are the cost.
 """
 
 from __future__ import annotations
@@ -469,13 +473,58 @@ def sliding_effectiveness(
 
 
 def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block, its maps and the conflicts of the pass over the whole trace."""
+    """Per block, its maps and the conflicts of the pass over the whole trace.
+
+    A chunked scan of ``A_t = M_t[:, :N + 1]``.  A step is ambiguous unless
+    all its rows' conflicts lie eps/2 or more above Dempster's threshold,
+    where it resets for every state (``A_t`` becomes rows ``[1...1, 0]``),
+    or all as far below.  The chunks' products are taken together, each
+    row rescaled to a max of 1 and its log scale kept; a walk over the
+    chunk boundaries carries the state, record by record through a chunk
+    with an ambiguous step; then all chunks advance from their starts.
+    """
     state = eng.start
     for maps in eng.sweep(trace):
-        conflicts = np.empty(len(maps))
-        for t, operand in enumerate(maps):
-            conflicts[t : t + 1], state = eng.step(state, operand)
-        yield maps, np.clip(conflicts, 0.0, 1.0, out=conflicts)
+        size, rows, cols = maps.shape
+        span = math.isqrt(size)
+        count = -(-size // span)
+        pad = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
+        padded = np.concatenate((maps, pad[None].repeat(count * span - size, 0)))
+        grid = padded.reshape(count, span, rows, cols)
+        chunks = grid[..., :rows].copy()
+        exact = np.zeros(count, bool)
+        if eng.rule == "dempster":
+            margin = grid[..., -2] - (1.0 - _TOTAL_CONFLICT_EPS)
+            always = margin.min(2) >= _TOTAL_CONFLICT_EPS / 2
+            chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
+            exact = (~always & (margin.max(2) > -_TOTAL_CONFLICT_EPS / 2)).any(1)
+        products, logs = np.eye(rows), np.zeros((count, rows))
+        for j in range(span):
+            products = products @ chunks[:, j]
+            scale = products.max(2)
+            live = scale > 0  # a row that is exactly 0 stays 0
+            np.divide(products, scale[..., None], out=products, where=live[..., None])
+            logs += np.log(scale, out=np.full_like(scale, -np.inf), where=live)
+        starts = np.empty((count, rows))
+        for c in range(count):
+            starts[c] = state
+            if exact[c]:
+                state = _advance(eng, state, padded, c * span, span, span)[1]
+            else:  # rescale by the largest row the state weighs, not by all
+                logw = np.log(state, out=np.full_like(state, -np.inf), where=state > 0)
+                logw += logs[c]
+                state = np.exp(logw - logw.max()) @ products[c]
+        conflicts = _advance(eng, starts, padded, 0, span, span)[0]
+        yield maps, conflicts.reshape(-1)[:size]
+
+
+def _advance(eng, stack, maps, first, stride, steps):
+    """Conflicts (passes x steps) and end stack of passes; pass k takes
+    ``maps[first + k * stride + j]`` at step j, a strided view per step."""
+    log = np.empty((len(stack), steps))
+    for j in range(steps):
+        log[:, j], stack = eng.step(stack, maps[first + j :: stride][: len(stack)])
+    return np.clip(log, 0.0, 1.0, out=log), stack
 
 
 def _windows_fast(trace, model, window_len, stride):
@@ -494,12 +543,8 @@ def _windows_fast(trace, model, window_len, stride):
         pending = maps if pending is None else np.concatenate((pending, maps))
         ready = min(n_windows, (first + len(pending) - window_len) // stride + 1)
         if ready > opened:
-            lo, hi = opened * stride - first, ready * stride - first
-            states = eng.start.repeat(ready - opened, 0)
-            log = np.empty((ready - opened, window_len))
-            for j in range(window_len):
-                log[:, j], states = eng.step(states, pending[lo + j : hi + j : stride])
-            logs.append(np.clip(log, 0.0, 1.0, out=log))
+            lo, states = opened * stride - first, eng.start.repeat(ready - opened, 0)
+            logs.append(_advance(eng, states, pending, lo, stride, window_len)[0])
             opened = ready
         drop = min(opened * stride - first, len(pending))
         pending, first = pending[drop:], first + drop

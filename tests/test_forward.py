@@ -324,13 +324,13 @@ def assert_engines_agree(records, model, window_len, stride):
     return assert_reports_agree(fast, ref)
 
 
-def assert_reports_agree(fast, ref):
+def assert_reports_agree(fast, ref, tol=TOL):
     assert len(fast.steps) == len(ref.steps)
     for a, b in zip(fast.steps, ref.steps):
-        assert a.conflict == pytest.approx(b.conflict, abs=TOL)
+        assert a.conflict == pytest.approx(b.conflict, abs=tol)
     assert [w.start for w in fast.windows] == [w.start for w in ref.windows]
     for a, b in zip(fast.windows, ref.windows):
-        assert a.value == pytest.approx(b.value, abs=TOL)
+        assert a.value == pytest.approx(b.value, abs=tol)
     resets = [s.index for s in fast.steps if s.reset]
     assert resets == [s.index for s in ref.steps if s.reset]
     return fast
@@ -417,7 +417,8 @@ def graded_record(t, arcs, emission):
 @st.composite
 def graded_cases(draw):
     n = draw(st.integers(1, 8))
-    length = draw(st.integers(1, 6))
+    # up to 24 records: the full pass scans chunks of isqrt(length) records
+    length = draw(st.integers(1, 24))
     # no grade in (0, 0.05): the reference scores near-total conflict, but
     # its mass-space sums lose digits there (gaps up to 1.7e-10 against the
     # contour engine were seen with grades of 1e-8 to 1e-4), too close to
@@ -494,16 +495,33 @@ def test_graded_near_total_conflict_agrees_with_reference():
         assert all(s.conflict > 1.0 - 1e-8 for s in report.steps)
 
 
+# records per block, which the full pass scans in chunks of 1, 1, 2, 4
+# and 8 records
+BLOCKS = (1, 2, 5, 16, 64)
+
+
+def set_block(monkeypatch, model, records_per_block):
+    """Make the engine build its maps ``records_per_block`` at a time."""
+    from evimon import forward
+
+    # one (N + 1) x (N + 3) map per record
+    n = model.frame.size
+    monkeypatch.setattr(forward, "_BLOCK_CELLS", records_per_block * (n + 1) * (n + 3))
+    assert forward.ContourEngine(model)._block == records_per_block
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_block_length_does_not_change_the_report(rule, monkeypatch):
-    # the engine builds each record's map a block of records at a time;
-    # blocks of 1, 2 and 5 records must give the very same floats, also
+    # the engine builds each record's map a block of records at a time, and
+    # the full pass scans each block in chunks of isqrt(block) records, so
+    # the last bits follow the block: every block length must agree with
+    # the reference to 1e-9 and with the default block to 1e-12, also
     # under a prior of several focal sets (one of them empty), whose start
     # row is part of every block's maps.  Windows that skip whole blocks
     # (stride above the block length), cross blocks (W above it) or span
     # the trace must agree with the reference: a buffer of pending maps
     # whose first record moves past the records read misplaces them.
-    from evimon import bundled, forward
+    from evimon import bundled
     from evimon.iohmm import EvIohmm
     from evimon.modelfile import parse_model
     from evimon.trace import read_trace
@@ -520,23 +538,19 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
             )
 
     def block_lengths(model):
-        # one (N + 1) x (N + 3) map per record
-        n = model.frame.size
-        for records_per_block in (1, 2, 5):
-            monkeypatch.setattr(
-                forward, "_BLOCK_CELLS", records_per_block * (n + 1) * (n + 3)
-            )
-            assert forward.ContourEngine(model)._block == records_per_block
+        for records_per_block in BLOCKS:
+            set_block(monkeypatch, model, records_per_block)
             yield
         monkeypatch.undo()
 
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
     for model in with_priors(parse_model(bundled.model_path("speed_limits"))):
         default = sliding_effectiveness(trace, model, 7, 2)
+        ref = sliding_effectiveness(trace, model, 7, 2, engine="reference")
         for _ in block_lengths(model):
             report = sliding_effectiveness(trace, model, 7, 2)
-            assert report.steps == default.steps
-            assert report.windows == default.windows
+            assert_reports_agree(report, ref)
+            assert_reports_agree(report, default, tol=1e-12)
 
     # graded conflicts on every record, so that a window read from the
     # wrong records shows
@@ -549,9 +563,102 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
             case: sliding_effectiveness(short, model, *case, engine="reference")
             for case in cases
         }
+        defaults = {case: sliding_effectiveness(short, model, *case) for case in cases}
         for _ in block_lengths(model):
             for case, ref in refs.items():
-                assert_reports_agree(sliding_effectiveness(short, model, *case), ref)
+                report = sliding_effectiveness(short, model, *case)
+                assert_reports_agree(report, ref)
+                assert_reports_agree(report, defaults[case], tol=1e-12)
+
+
+def stepwise_conflicts(model, records):
+    """The full pass one record at a time, each step read from the engine."""
+    from evimon.forward import ContourEngine
+
+    eng = ContourEngine(model)
+    state, conflicts = eng.start, []
+    for maps in eng.sweep(records):
+        for operand in maps:
+            conflict, state = eng.step(state, operand)
+            conflicts.append(float(conflict[0]))
+    return np.clip(conflicts, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_chunked_scan_agrees_with_reference(rule, monkeypatch):
+    # the full pass cuts each block into chunks of isqrt(block) records;
+    # 141 records leave ragged last chunks (blocks of 5 are chunks of 2, 2
+    # and 1; the last block of 13 records is chunks of 3, 3, 3, 3 and 1).
+    # Records 72, 75 and 76 conflict totally: a Dempster reset at a
+    # chunk's first step and one inside a chunk, for every block length
+    # above 2.  Record 101 leaves only s0 plausible, and record 102 maps s0
+    # to nothing and s1 to everything: an ambiguous step, which resets;
+    # record 103 is the same and does not (K = 1/2 from the reset state).
+    rng = np.random.default_rng(12)
+    model = graded_model(2, rule)
+    records = [
+        graded_record(t, rng.uniform(0.05, 1.0, (2, 2)), rng.uniform(0.05, 1.0, 2))
+        for t in range(141)
+    ]
+    for t in (72, 75, 76):
+        records[t] = graded_record(t, [[0, 0], [0, 0]], [1.0, 1.0])
+    records[101] = graded_record(101, [[1, 1], [1, 1]], [1.0, 0.0])
+    for t in (102, 103):
+        records[t] = graded_record(t, [[0, 0], [1, 1]], [1.0, 1.0])
+    ref = sliding_effectiveness(records, model, 7, 3, engine="reference")
+    for records_per_block in BLOCKS:
+        set_block(monkeypatch, model, records_per_block)
+        report = assert_reports_agree(sliding_effectiveness(records, model, 7, 3), ref)
+        assert report.steps[103].conflict == 0.5
+        if rule == "dempster":
+            assert [s.index for s in report.steps if s.reset] == [72, 75, 76, 102]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_chunked_scan_keeps_tiny_grades(rule, monkeypatch):
+    # each chunk's product rescales its rows to a max of 1 and keeps their
+    # log scales, and the walk over the chunk boundaries rescales by the
+    # rows the state weighs.  Grades down to 1e-200 must turn no exact 0
+    # into a non-zero and no non-zero into 0, so the conflicts match the
+    # record-by-record pass at both ends (the reference's mass-space sums
+    # lose digits at such grades under Dempster).  Most records keep every
+    # row in play through a shared state k, so that the steps do not all
+    # reset.
+    rng = np.random.default_rng(13)
+    grades = [0.0, 1e-200, 1e-100, 1e-30, 2.0**-19, 0.5, 1.0]
+    model = graded_model(3, rule)
+    records = []
+    for t in range(141):
+        arcs, emission = rng.choice(grades, (3, 3)), rng.choice(grades, 3)
+        if rng.random() < 0.8:
+            k = rng.integers(3)
+            arcs[:, k] = emission[k] = 1.0
+        records.append(graded_record(t, arcs, emission))
+    expected = stepwise_conflicts(model, records)
+    ref = sliding_effectiveness(records, model, 5, 2, engine="reference")
+    for records_per_block in BLOCKS:
+        set_block(monkeypatch, model, records_per_block)
+        report = sliding_effectiveness(records, model, 5, 2)
+        conflicts = np.array([s.conflict for s in report.steps])
+        assert np.allclose(conflicts, expected, rtol=0.0, atol=1e-12)
+        assert ((conflicts == 0.0) == (expected == 0.0)).all()
+        assert ((conflicts == 1.0) == (expected == 1.0)).all()
+        if rule != "dempster":
+            assert_reports_agree(report, ref)
+
+    # the only plausible state s1 keeps a transfer of 2**-38 per step while
+    # s0 keeps 1: 900 records are one block at N = 2, scanned in chunks of
+    # 30, over which s1's row scale falls to 2**-1140.  Scaled by the
+    # largest of all rows, the state would underflow to 0 and read 0 / 0.
+    monkeypatch.undo()
+    tiny = 2.0**-19
+    records = [
+        graded_record(0, [[1, 1], [1, 1]], [1.0, 1.0]),
+        graded_record(1, [[1, 1], [1, 1]], [0.0, 1.0]),
+    ] + [graded_record(t, [[1, 0], [0, tiny]], [1.0, tiny]) for t in range(2, 900)]
+    report = assert_engines_agree(records, graded_model(2, rule), 2, 299)
+    if rule == "dempster":
+        assert all(s.conflict == 1.0 - tiny**2 for s in report.steps[2:])
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -572,8 +679,8 @@ def test_window_grid_agrees_with_reference(rule):
 # source state
 ENGINE_DIGESTS = {
     "dempster": "ed6c571cf777bab357c155fdb62bc04b867c93dfd27ee0edabf77d707d2e9d6c",
-    "yager": "5d5a1340adc2683f67176e0a7deff4153c862bf6a230e55b65b17bc9d7f3b6d8",
-    "dubois_prade": "cf7350a51bea78d82de4d322c86583049a199cc2b4501a2330bc7a6973ff2f2f",
+    "yager": "f73c26f353564e52a5e0d76f864f6e5c553c176a70075d23ebeccdf26411b9d5",
+    "dubois_prade": "a581b9b0086b566228e7394f7099dc0a7d5d428c08ba8d3b351158cbda0aea25",
 }
 
 

@@ -561,16 +561,34 @@ def test_cli_eval_hostile_model_exits_1_without_traceback(tmp_path, name):
 def test_cli_unwritable_output_exits_1_without_traceback(
     tmp_path, command, flag, target
 ):
+    # outputs are checked before any work: the trace, which does not
+    # exist, is never read, and a report path that can be written is not
+    # written when the summary path cannot be
     (tmp_path / "x.csv.manifest.json").mkdir()
     path = tmp_path / target
     args = ["--model", "luminosity"]
     if command == "eval":
-        args += ["--trace", str(bundled.trace_path("luminosity_comfort_30"))]
+        args += ["--trace", str(tmp_path / "no_such_trace.csv")]
+    if flag == "--summary":
+        args += ["--out", str(tmp_path / "ok.csv")]
     proc = run_cli(command, *args, flag, str(path))
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr.startswith("error: ")
     assert str(path) in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_cli_gen_trace_bad_length_is_exit_1(tmp_path, length):
+    out = tmp_path / "x.csv"
+    proc = run_cli(
+        "gen-trace", "--model", "luminosity", "--length", length, "--out", str(out)
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == f"error: --length must be >= 1, got {length}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_demo_mismatch_names_the_cell():
