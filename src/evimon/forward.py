@@ -38,13 +38,16 @@ Dempster reset its rows' conflicts do not settle, by a conservative
 test, is walked record by record.  The windows a block makes ready
 advance together, offset by offset over a buffer of pending maps: W
 steps per block.  A step is O(N**2) per pass; with few states its small
-numpy calls, not the arithmetic, are the cost.
+numpy calls, not the arithmetic, are the cost.  The report is arrays, the
+window values one row-wise product, and its row objects built on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -182,7 +185,7 @@ def effectiveness(conflict_log: Sequence[float]) -> float:
     """Degree of effectiveness: the product of per-step (1 - conflict)."""
     if len(conflict_log) == 0:
         raise EmptyLog("effectiveness of an empty conflict log is undefined")
-    return float(np.prod([1.0 - c for c in conflict_log]))
+    return float(np.prod(1.0 - np.asarray(conflict_log, dtype=float)))
 
 
 def run_forward(
@@ -401,24 +404,47 @@ class WindowResult:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectivenessReport:
-    """Per-step conflict series of the whole trace plus windowed products."""
+    """Arrays of the full pass's conflicts and resets, and the window values.
 
-    steps: tuple[StepResult, ...]
-    windows: tuple[WindowResult, ...]
+    Window k covers the W records from ``k * stride``.  ``steps`` and
+    ``windows`` build their row objects on first read.
+    """
+
+    timestamps: np.ndarray
+    conflicts: np.ndarray
+    resets: np.ndarray
+    values: np.ndarray
     window_len: int
     stride: int
     rule: str
 
     @property
     def overall(self) -> float:
-        return effectiveness([s.conflict for s in self.steps])
+        return effectiveness(self.conflicts)
 
     @property
     def breach_steps(self) -> tuple[int, ...]:
         return tuple(
-            s.index for s in self.steps if s.conflict >= 1.0 - _TOTAL_CONFLICT_EPS
+            np.flatnonzero(self.conflicts >= 1.0 - _TOTAL_CONFLICT_EPS).tolist()
+        )
+
+    @cached_property
+    def steps(self) -> tuple[StepResult, ...]:
+        reset = np.isin(np.arange(len(self.conflicts)), self.resets).tolist()
+        rows = zip(self.timestamps.tolist(), self.conflicts.tolist(), reset)
+        return tuple(
+            StepResult(i, t, c, 1.0 - c, r) for i, (t, c, r) in enumerate(rows)
+        )
+
+    @cached_property
+    def windows(self) -> tuple[WindowResult, ...]:
+        w, times = self.window_len, self.timestamps.tolist()
+        starts = range(0, len(times), self.stride)
+        return tuple(
+            WindowResult(s, s + w - 1, times[s + w - 1], w, value)
+            for s, value in zip(starts, self.values.tolist())
         )
 
 
@@ -432,10 +458,8 @@ def sliding_effectiveness(
 ) -> EffectivenessReport:
     """Windowed effectiveness: every window restarts the forward pass.
 
-    The report carries one step row per record (conflicts of the single
-    full-trace pass) and one windowed product per window position; each
-    windowed value is the product of that window's own step
-    effectivenesses, cross-checked at emission time.
+    Each window's value is a row of one product of (1 - conflict) over the
+    engine's (windows x W) conflicts, checked against a running product.
     """
     if window_len < 1:
         raise ValueError(f"window length must be >= 1, got {window_len}")
@@ -448,28 +472,20 @@ def sliding_effectiveness(
     engines = {"fast": _windows_fast, "reference": _windows_reference}
     if engine not in engines:
         raise ValueError(f"unknown engine {engine!r}")
-    full_conflicts, full_resets, window_logs = engines[engine](
-        trace, model, window_len, stride
-    )
+    conflicts, resets, logs = engines[engine](trace, model, window_len, stride)
 
-    reset_set = set(full_resets)
-    steps = tuple(
-        StepResult(i, trace[i].timestamp, c, 1.0 - c, i in reset_set)
-        for i, c in enumerate(np.asarray(full_conflicts).tolist())
-    )
-    windows = []
-    for start, conflicts in window_logs:
-        value = effectiveness(conflicts)
-        check = math.prod(1.0 - c for c in conflicts)
-        if abs(value - check) > 1e-12:
-            raise AssertionError(
-                f"window product mismatch at start={start}: {value} vs {check}"
-            )
-        end = start + window_len - 1
-        windows.append(
-            WindowResult(start, end, trace[end].timestamp, window_len, value)
+    kept = np.subtract(1.0, logs, out=logs)
+    values = np.prod(kept, axis=1)
+    check = np.multiply.accumulate(kept, axis=1, out=kept)[:, -1]
+    k = int(np.argmax(np.abs(values - check)))
+    if abs(values[k] - check[k]) > 1e-12:
+        raise AssertionError(
+            f"window product mismatch at window {k}: {values[k]} vs {check[k]}"
         )
-    return EffectivenessReport(steps, tuple(windows), window_len, stride, model.rule)
+    timestamps = np.fromiter(map(attrgetter("timestamp"), trace), float, len(trace))
+    return EffectivenessReport(
+        timestamps, conflicts, resets, values, window_len, stride, model.rule
+    )
 
 
 def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -549,15 +565,16 @@ def _windows_fast(trace, model, window_len, stride):
         drop = min(opened * stride - first, len(pending))
         pending, first = pending[drop:], first + drop
     full = np.concatenate(full)
-    resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS).tolist()
-    windows = ((k * stride, log.tolist()) for k, log in enumerate(np.concatenate(logs)))
-    return full, resets if model.rule == "dempster" else [], windows
+    resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS)
+    if model.rule != "dempster":
+        resets = resets[:0]
+    return full, resets, np.concatenate(logs)
 
 
 def _windows_reference(trace, model, window_len, stride):
     full = run_forward(model, trace)
-    window_logs = [
-        (s, list(run_forward(model, trace[s : s + window_len]).conflict_log))
+    logs = [
+        run_forward(model, trace[s : s + window_len]).conflict_log
         for s in range(0, len(trace) - window_len + 1, stride)
     ]
-    return list(full.conflict_log), list(full.resets), window_logs
+    return np.array(full.conflict_log), np.array(full.resets, int), np.array(logs)

@@ -29,7 +29,6 @@ from .belief import (
     categorical,
     combine_disjunctive,
     vacuous,
-    _zeta_subset,
 )
 from .errors import LengthMismatch, ValidationError
 from .possibility import ConstraintVector, evaluate_constraint_vector, \
@@ -173,25 +172,8 @@ class ConditionalTransitionBBAs:
 
     @property
     def rows(self) -> dict[int, MassFunction]:
-        """All 2**N rows, materialized (vectorized implicability products)."""
-        if len(self._cache) < self.frame.n_subsets:
-            n = self.frame.size
-            size = self.frame.n_subsets
-            table = np.empty((size, size))
-            table[0] = 1.0  # empty-set categorical has implicability 1 everywhere
-            singles = [
-                _zeta_subset(row.masses.copy()) for row in self.singleton_rows
-            ]
-            for mask in range(1, size):
-                low = mask & -mask
-                table[mask] = table[mask ^ low] * singles[low.bit_length() - 1]
-            for i in range(n):
-                v = table.reshape(size, -1, 2, 1 << i)
-                v[:, :, 1, :] -= v[:, :, 0, :]
-            for mask in range(size):
-                if mask not in self._cache:
-                    self._cache[mask] = MassFunction(self.frame, table[mask])
-        return {mask: self._cache[mask] for mask in range(self.frame.n_subsets)}
+        """All 2**N rows, materialized."""
+        return {mask: self.row(mask) for mask in range(self.frame.n_subsets)}
 
 
 def build_transition_rows(

@@ -12,37 +12,37 @@ _FMT = ".12g"
 
 def write_report_csv(report: EffectivenessReport, path) -> None:
     """One row per record; the window column fills where a window ends."""
-    by_end = {w.end: w for w in report.windows}
+    conflicts = report.conflicts.tolist()
+    window = [""] * len(conflicts)
+    window[report.window_len - 1 :: report.stride] = [
+        format(v, _FMT) for v in report.values.tolist()
+    ]
+    rows = zip(
+        [format(t, _FMT) for t in report.timestamps.tolist()],
+        [format(c, _FMT) for c in conflicts],
+        [format(1.0 - c, _FMT) for c in conflicts],
+        window,
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["timestamp", "conflict", "step_effectiveness", "window_effectiveness"]
         )
-        for step in report.steps:
-            window = by_end.get(step.index)
-            writer.writerow(
-                [
-                    format(step.timestamp, _FMT),
-                    format(step.conflict, _FMT),
-                    format(step.step_effectiveness, _FMT),
-                    format(window.value, _FMT) if window else "",
-                ]
-            )
+        writer.writerows(rows)
 
 
 def summary_dict(report: EffectivenessReport) -> dict:
-    values = [w.value for w in report.windows]
     return {
-        "records": len(report.steps),
+        "records": len(report.conflicts),
         "window_len": report.window_len,
         "stride": report.stride,
         "rule": report.rule,
         "overall_effectiveness": report.overall,
-        "windows": len(report.windows),
-        "min_window_effectiveness": min(values) if values else None,
-        "max_window_effectiveness": max(values) if values else None,
+        "windows": len(report.values),
+        "min_window_effectiveness": float(report.values.min()),
+        "max_window_effectiveness": float(report.values.max()),
         "breach_steps": list(report.breach_steps),
-        "reset_steps": [s.index for s in report.steps if s.reset],
+        "reset_steps": report.resets.tolist(),
         "breached": bool(report.breach_steps),
     }
 

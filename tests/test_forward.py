@@ -92,21 +92,6 @@ def test_rows_equal_disjunctive_of_singletons():
             assert materialized[mask].approx_equals(expected, TOL)
 
 
-def test_rows_lazy_and_materialized_agree_on_wide_frame():
-    from evimon import bundled
-    from evimon.modelfile import parse_model
-
-    model = parse_model(bundled.model_path("speed_limits"))
-    inputs = {"max_speed": 90.0, "precipitation": 0.3, "visibility": 0.1}
-    lazy = build_transition_rows(model, inputs)
-    eager = build_transition_rows(model, inputs)
-    materialized = eager.rows
-    rng = np.random.default_rng(30)
-    for mask in rng.integers(0, model.frame.n_subsets, size=12):
-        mask = int(mask)
-        assert materialized[mask].approx_equals(lazy.row(mask), TOL)
-
-
 def test_rows_crisp_input_is_categorical():
     model = luminosity_crisp_model()
     rows = build_transition_rows(model, {"pres": 2.0})

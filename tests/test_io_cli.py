@@ -308,15 +308,37 @@ def test_report_csv_layout(tmp_path):
     assert summary["breached"] is False
 
 
-def test_report_window_column_respects_stride(tmp_path):
+@pytest.mark.parametrize("window_len, stride", [(10, 5), (10, 7), (10, 12), (30, 1)])
+def test_report_window_column_respects_stride(tmp_path, window_len, stride):
     model = luminosity_model()
     trace = read_trace(bundled.trace_path("luminosity_comfort_30"))
-    report = sliding_effectiveness(trace, model, 10, 5)
+    report = sliding_effectiveness(trace, model, window_len, stride)
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     lines = path.read_text().splitlines()[1:]
     filled = [i for i, line in enumerate(lines) if not line.endswith(",")]
-    assert filled == [9, 14, 19, 24, 29]
+    assert filled == list(range(window_len - 1, 30, stride))
+    assert filled == [w.end for w in report.windows]
+    for k, w in enumerate(report.windows):
+        assert w.start == k * stride
+        assert w.end_timestamp == trace[w.end].timestamp
+
+
+def test_writers_do_not_build_report_rows(tmp_path):
+    model = parse_model(bundled.model_path("speed_limits"))
+    trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))
+    report = sliding_effectiveness(trace, model, 10, 3)
+
+    def written(name):
+        write_report_csv(report, tmp_path / f"{name}.csv")
+        write_summary_json(report, tmp_path / f"{name}.json")
+        return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+    from_arrays = written("arrays")
+    assert "steps" not in vars(report)
+    assert "windows" not in vars(report)
+    assert report.steps and report.windows
+    assert written("rows") == from_arrays
 
 
 # sha256 of the report CSV of each bundled trace (W=10, stride 3) and of
