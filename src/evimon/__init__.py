@@ -93,6 +93,6 @@ from .possibility import (
 )
 from .generate import generate_trace
 from .modelfile import model_from_dict, model_to_dict, parse_model, write_model
-from .trace import TraceRecord, read_trace, write_trace
+from .trace import Trace, TraceRecord, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -34,10 +34,10 @@ def _require_columns(path, trace, model) -> None:
     Record 0's inputs gate nothing, so input columns are needed only when
     there is a second record.  Columns declared but not read are optional.
     """
-    sides = [("out", model.emissions, trace[0].outputs)]
+    sides = [("out", model.emissions, trace.outputs)]
     if len(trace) > 1:
         arcs = [cv for row in model.transitions for cv in row]
-        sides.insert(0, ("in", arcs, trace[1].inputs))
+        sides.insert(0, ("in", arcs, trace.inputs))
     for prefix, vectors, present in sides:
         for name in sorted({v for cv in vectors for v in cv.required_variables()}):
             if name not in present:
@@ -87,19 +87,19 @@ def _cmd_gen_trace(args) -> int:
     manifest_path = f"{args.out}.manifest.json"
     _check_writable(args.out, manifest_path)
     model = _resolve_model(args.model)
-    records, zones = generate_trace(model, args.scenario, args.length, args.seed)
-    write_trace(args.out, records, model.input_variables, model.output_variables)
+    trace, zones = generate_trace(model, args.scenario, args.length, args.seed)
+    write_trace(args.out, trace, model.input_variables, model.output_variables)
     manifest = {
         "model": model.name,
         "scenario": args.scenario,
         "seed": args.seed,
-        "records": len(records),
+        "records": len(trace),
         "zones": manifest_lines(zones),
     }
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {len(trace)} records to {args.out}")
     print("zones: " + " ".join(manifest["zones"]))
     return 0
 

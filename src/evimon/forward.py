@@ -28,14 +28,15 @@ Cost of the fast path.  What a step reads from the records alone is one
 map ``M_t`` per record, (N + 1) x (N + 3), the rule folded in so that a
 step is linear in the contour up to scale (see ``ContourEngine.sweep``).
 The maps are computed a block of records at a time, each distinct
-constraint vector once per block over a column of observations: O((N +
-F) * N) work per record for a prior of F focal sets, O((N + F) * N**2)
-under Dubois-Prade, and per block a number of numpy calls set by the
-model alone.  The full pass scans each block of B maps in C = ceil(B / L)
-chunks of L = isqrt(B) records (see ``_full_pass``): 2L + C iterations
-of numpy calls per block, not B steps.  A chunk with a step whose
-Dempster reset its rows' conflicts do not settle, by a conservative
-test, is walked record by record.  The windows a block makes ready
+constraint vector once per block over a view of the trace's columns
+(see ``trace.Trace``; records given one by one are read into columns
+once, on entry): O((N + F) * N) work per record for a prior of F focal
+sets, O((N + F) * N**2) under Dubois-Prade, and per block a number of
+numpy calls set by the model alone.  The full pass scans each block of B
+maps in C = ceil(B / L) chunks of L = isqrt(B) records (see
+``_full_pass``): 2L + C iterations of numpy calls per block, not B
+steps.  A chunk with a step whose Dempster reset its rows' conflicts do
+not settle, by a conservative test, is walked record by record.  The windows a block makes ready
 advance together, offset by offset over a buffer of pending maps: W
 steps per block.  A step is O(N**2) per pass; with few states its small
 numpy calls, not the arithmetic, are the cost.  The report is arrays, the
@@ -47,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -70,7 +70,7 @@ from .iohmm import (
     emission_bba,
 )
 from .possibility import ConstraintVector, compile_constraint_vector
-from .trace import TraceRecord
+from .trace import Trace, TraceRecord
 
 _CONTOUR_EPS = 1e-15
 # cells of the largest array of a block of records (records x rows x N + 3,
@@ -225,8 +225,8 @@ class ContourEngine:
         self.rule = model.rule
         n = model.frame.size
         arcs = [cv for row in model.transitions for cv in row]
-        self._arcs = _Curves(arcs, "inputs", (n, n))
-        self._emissions = _Curves(model.emissions, "outputs", (n,))
+        self._arcs = _Curves(arcs, (n, n))
+        self._emissions = _Curves(model.emissions, (n,))
         self._model = model  # whose scalar path locates a bad observation
         masses = model.prior.masses
         focal = np.flatnonzero(masses)
@@ -235,20 +235,22 @@ class ContourEngine:
         self._block = max(1, _BLOCK_CELLS // ((n + 3) * max(n + 1, len(focal))))
         self.start = np.eye(1, n + 1, n)
 
-    def sweep(self, trace: Sequence[TraceRecord]) -> Iterator[np.ndarray]:
+    def sweep(self, trace: Trace | Sequence[TraceRecord]) -> Iterator[np.ndarray]:
         """Per block of B records, the maps ``M_t`` (B x N + 1 x N + 3).
 
         A map's rows are the N arc rows from the previous record (ones at
         record 0, whose inputs gate nothing; no live pass weighs them) and
         the start row, the prior's crisp rows mixed by its masses, each laid
-        out as :meth:`_cuts` lays it out.
+        out as :meth:`_cuts` lays it out.  Records not given as a
+        :class:`Trace` are read into one first.
         """
         n = self._prior_rows.shape[2]
+        trace = Trace.from_records(trace)
         for first in range(0, len(trace), self._block):
-            records = trace[first : first + self._block]
-            size = len(records)
+            block = trace[first : first + self._block]
+            size = len(block)
             skip = int(first == 0)
-            inputs, outputs = self._read(records, skip)
+            inputs, outputs = self._read(block, skip)
             e = self._emissions.values(outputs, size)
             arcs = self._arcs.values(inputs, size - skip)
             maps = np.ones((size, n + 1, n + 3))
@@ -256,22 +258,19 @@ class ContourEngine:
             maps[:, n] = self._masses @ self._cuts(self._prior_rows, e)
             yield maps
 
-    def _read(self, records, skip) -> tuple[dict, dict]:
+    def _read(self, block: Trace, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
 
         A missing or non-finite observation fails as the scalar path fails
         on the first record that has one: with the same error, variable
         and arc or state.
         """
-        try:
-            inputs = self._arcs.columns(records[skip:])
-            outputs = self._emissions.columns(records)
-            columns = [*inputs.values(), *outputs.values()]
-            if all(np.isfinite(c).all() for c in columns):
-                return inputs, outputs
-        except KeyError:
-            pass
-        for i, rec in enumerate(records):
+        absent = np.full(len(block), np.nan)  # a column the trace lacks
+        inputs = {v: block.inputs.get(v, absent)[skip:] for v in self._arcs.variables}
+        outputs = {v: block.outputs.get(v, absent) for v in self._emissions.variables}
+        if all(np.isfinite(c).all() for c in [*inputs.values(), *outputs.values()]):
+            return inputs, outputs
+        for i, rec in enumerate(block):
             if i >= skip:
                 self._model.transition_possibilities(rec.inputs)
             self._model.emission_possibilities(rec.outputs)
@@ -326,21 +325,13 @@ class ContourEngine:
 class _Curves:
     """The distinct constraint vectors of one side of a model, compiled."""
 
-    def __init__(self, vectors: Sequence[ConstraintVector], side: str, shape):
+    def __init__(self, vectors: Sequence[ConstraintVector], shape):
         slots: dict[ConstraintVector, int] = {}
         self._slots = np.array(
             [slots.setdefault(cv, len(slots)) for cv in vectors]
         ).reshape(shape)
         self._compiled = [compile_constraint_vector(cv) for cv in slots]
-        self._variables = sorted({v for cv in slots for v in cv.required_variables()})
-        self._side = side
-
-    def columns(self, records: Sequence[TraceRecord]) -> dict[str, np.ndarray]:
-        """One column per variable read; KeyError when a record lacks one."""
-        return {
-            v: np.array([getattr(rec, self._side)[v] for rec in records], dtype=float)
-            for v in self._variables
-        }
+        self.variables = sorted({v for cv in slots for v in cv.required_variables()})
 
     def values(self, columns: dict[str, np.ndarray], size: int) -> np.ndarray:
         """Values (records x shape), each distinct vector evaluated once.
@@ -449,7 +440,7 @@ class EffectivenessReport:
 
 
 def sliding_effectiveness(
-    trace: Sequence[TraceRecord],
+    trace: Trace | Sequence[TraceRecord],
     model: EvIohmm,
     window_len: int = 10,
     stride: int = 1,
@@ -459,12 +450,14 @@ def sliding_effectiveness(
     """Windowed effectiveness: every window restarts the forward pass.
 
     Each window's value is a row of one product of (1 - conflict) over the
-    engine's (windows x W) conflicts, checked against a running product.
+    engine's (windows x W) conflicts.  Records not given as a
+    :class:`Trace` are read into one first.
     """
     if window_len < 1:
         raise ValueError(f"window length must be >= 1, got {window_len}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    trace = Trace.from_records(trace)
     if len(trace) < window_len:
         raise TraceTooShort(
             f"trace of {len(trace)} records is shorter than one window of {window_len}"
@@ -473,18 +466,9 @@ def sliding_effectiveness(
     if engine not in engines:
         raise ValueError(f"unknown engine {engine!r}")
     conflicts, resets, logs = engines[engine](trace, model, window_len, stride)
-
-    kept = np.subtract(1.0, logs, out=logs)
-    values = np.prod(kept, axis=1)
-    check = np.multiply.accumulate(kept, axis=1, out=kept)[:, -1]
-    k = int(np.argmax(np.abs(values - check)))
-    if abs(values[k] - check[k]) > 1e-12:
-        raise AssertionError(
-            f"window product mismatch at window {k}: {values[k]} vs {check[k]}"
-        )
-    timestamps = np.fromiter(map(attrgetter("timestamp"), trace), float, len(trace))
+    values = np.prod(np.subtract(1.0, logs, out=logs), axis=1)
     return EffectivenessReport(
-        timestamps, conflicts, resets, values, window_len, stride, model.rule
+        trace.timestamps, conflicts, resets, values, window_len, stride, model.rule
     )
 
 

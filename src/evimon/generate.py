@@ -20,7 +20,7 @@ from .errors import GenerationError
 from .forward import ContourEngine, _full_pass
 from .iohmm import EvIohmm
 from .possibility import ConstraintVector, PossibilityDistribution
-from .trace import TraceRecord
+from .trace import Trace
 
 SCENARIOS = ("comfort", "tolerance", "breach", "mixed")
 
@@ -112,8 +112,11 @@ def generate_trace(
     scenario: str,
     length: int,
     seed: int,
-) -> tuple[list[TraceRecord], list[str]]:
-    """Build a trace plus the per-record zone-class manifest."""
+) -> tuple[Trace, list[str]]:
+    """Build a trace plus the per-record zone-class manifest.
+
+    The trace's columns are filled record by record, with no record kept.
+    """
     if scenario not in SCENARIOS:
         raise GenerationError(f"unknown scenario {scenario!r}; pick from {SCENARIOS}")
     if length < 1:
@@ -169,7 +172,8 @@ def generate_trace(
 
     start_candidates = [i for i in range(n) if comfort_arcs[i]]
     state = int(rng.choice(start_candidates))
-    records: list[TraceRecord] = []
+    in_columns = {var: np.empty(length) for var in model.input_variables}
+    out_columns = {var: np.empty(length) for var in model.output_variables}
     zones: list[str] = []
     for t in range(length):
         if t == 0:
@@ -189,9 +193,7 @@ def generate_trace(
                     f"state {frame.labels[prev]} has no outgoing comfort arc"
                 )
             state = int(rng.choice(choices))
-            inputs = dict(vector_values(model.transitions[prev][state], comfort_value))
-            for var in model.input_variables:
-                inputs.setdefault(var, 0.0)
+            inputs = vector_values(model.transitions[prev][state], comfort_value)
 
         zone, outputs = "comfort", None
         if deviant[t]:
@@ -203,23 +205,26 @@ def generate_trace(
                 if candidate is not None:
                     zone, outputs = "tolerance", candidate
             if outputs is None and scenario in ("breach", "mixed"):
-                zone, outputs = "breach", dict(breach_out)
+                zone, outputs = "breach", breach_out
         if outputs is None:
             zone = "comfort"
-            outputs = dict(vector_values(model.emissions[state], comfort_value))
-        for var in model.output_variables:
-            outputs.setdefault(var, 0.0)
-        records.append(TraceRecord(float(t), inputs, outputs))
+            outputs = vector_values(model.emissions[state], comfort_value)
+        # a declared variable no active curve reads is 0
+        for var, column in in_columns.items():
+            column[t] = inputs.get(var, 0.0)
+        for var, column in out_columns.items():
+            column[t] = outputs.get(var, 0.0)
         zones.append(zone)
 
-    _verify_zones(model, records, zones)
-    return records, zones
+    trace = Trace(np.arange(length, dtype=float), in_columns, out_columns)
+    _verify_zones(model, trace, zones)
+    return trace, zones
 
 
-def _verify_zones(model, records, zones) -> None:
+def _verify_zones(model, trace, zones) -> None:
     """Check the constructed classes against the actual forward pass."""
     # the full pass alone, a block at a time: a report would add megabytes
-    conflicts = (c for _, cs in _full_pass(ContourEngine(model), records) for c in cs)
+    conflicts = (c for _, cs in _full_pass(ContourEngine(model), trace) for c in cs)
     for t, (zone, conflict) in enumerate(zip(zones, conflicts)):
         ok = (
             conflict <= _TOTAL_CONFLICT_EPS

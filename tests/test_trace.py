@@ -1,0 +1,257 @@
+"""The columnar trace: its two parsers, and a Trace read as records."""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from evimon import bundled, trace
+from evimon.errors import ParseError
+from evimon.forward import sliding_effectiveness
+from evimon.generate import generate_trace
+from evimon.modelfile import parse_model
+from evimon.trace import Trace, TraceRecord, read_trace, write_trace
+
+H = "timestamp,in.u,out.y\n"
+# with blocks of 4 lines, records 2-5 are the first block after record 1
+BLOCK = H + "".join(f"{t},1,1\n" for t in range(5))
+
+# (text, line, message): each fails at the first bad cell it holds
+HOSTILE = {
+    "nan-output": (H + "0,1,1\n1,1,nan\n", 3, "record 2 column 'out.y': not finite: 'nan'"),
+    "inf-input": (H + "0,1,1\n1,inf,1\n", 3, "record 2 column 'in.u': not finite: 'inf'"),
+    "overflowing-timestamp": (
+        H + "0,1,1\n1e999,1,1\n", 3, "record 2 column 'timestamp': not finite: '1e999'"
+    ),
+    "nan-in-record-0-input": (
+        H + "0,nan,1\n1,1,1\n", 2, "record 1 column 'in.u': not finite: 'nan'"
+    ),
+    "padded-nan-in-record-0-input": (
+        H + "0, nan ,1\n1,1,1\n", 2, "record 1 column 'in.u': not finite: 'nan'"
+    ),
+    "empty-record-0-output": (H + "0,,\n1,1,1\n", 2, "record 1 is missing column 'out.y'"),
+    "empty-input-after-record-0": (
+        H + "0,,1\n1,,1\n", 3, "record 2 is missing column 'in.u'"
+    ),
+    "blank-output": (H + "0,1,1\n1,1, \n", 3, "record 2 is missing column 'out.y'"),
+    "not-a-number": (H + "0,1,1\n1,1_,1\n", 3, "record 2 column 'in.u': not a number: '1_'"),
+    "short-row": (H + "0,1,1\n1,1\n", 3, "expected 3 cells, got 2"),
+    "long-row": (H + "0,1,1\n1,1,1,1\n", 3, "expected 3 cells, got 4"),
+    "every-row-of-a-block-long": (
+        H + "0,1,1\n" + "".join(f"{t},1,1,1\n" for t in range(1, 6)),
+        3,
+        "expected 3 cells, got 4",
+    ),
+    "decreasing-timestamp": (
+        H + "0,1,1\n2,1,1\n1,1,1\n", 4, "record 3: timestamp 1.0 decreases"
+    ),
+    "bad-cell-after-blank-lines": (
+        H + "\n0,1,1\n\n , \n1,x,1\n", 6, "record 2 column 'in.u': not a number: 'x'"
+    ),
+    "bad-cell-after-a-block-boundary": (
+        BLOCK + "5,1,oops\n6,1,1\n", 7, "record 6 column 'out.y': not a number: 'oops'"
+    ),
+    "decrease-across-a-block-boundary": (
+        BLOCK + "3,1,1\n6,1,1\n", 7, "record 6: timestamp 3.0 decreases"
+    ),
+    "no-records": (H + "\n \n", None, "trace file has no records"),
+}
+
+# (text, records as (timestamp, inputs, outputs)): read as the format allows
+ACCEPTED = {
+    "blank-lines": (
+        H + "\n0,,1\n\n , \n1,2,3\n\n",
+        [(0.0, {}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
+    ),
+    "padded-and-underscored-cells": (
+        H + " 0 , , 1_000 \n1,\t2.5 ,-3\n2,1_0.5,+4e-3\n",
+        [(0.0, {}, {"y": 1000.0}), (1.0, {"u": 2.5}, {"y": -3.0}),
+         (2.0, {"u": 10.5}, {"y": 0.004})],
+    ),
+    "one-of-two-record-0-inputs-empty": (
+        "timestamp,in.u,in.v,out.y\n0,,5,1\n1,2,3,4\n",
+        [(0.0, {"v": 5.0}, {"y": 1.0}), (1.0, {"u": 2.0, "v": 3.0}, {"y": 4.0})],
+    ),
+    "records-across-blocks": (
+        BLOCK + "5,1,1\n5,2,-1\n",
+        [(float(t), {"u": 1.0}, {"y": 1.0}) for t in range(6)]
+        + [(5.0, {"u": 2.0}, {"y": -1.0})],
+    ),
+}
+
+
+def both_parsers(path):
+    """The fast table (or None) and the per-cell table (or its ParseError)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header, in_cols, out_cols = trace._read_header(reader, path)
+        blocks, rest = trace._parse_blocks(reader, len(header), [p for p, _ in in_cols])
+        fast = np.concatenate(blocks) if rest is None else None
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        try:
+            cells = trace._parse_cells(reader, path, header, in_cols, out_cols)
+        except ParseError as exc:
+            cells = exc
+    return fast, cells
+
+
+def as_tuples(records):
+    return [(r.timestamp, r.inputs, r.outputs) for r in records]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(trace, "_BLOCK_LINES", 4)
+
+
+@pytest.mark.parametrize("name", bundled.TRACES)
+def test_fast_and_per_cell_parsers_agree_on_bundled_traces(name):
+    fast, cells = both_parsers(bundled.trace_path(name))
+    assert fast is not None
+    assert np.array_equal(fast, cells, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_trace_fails_at_its_cell(tmp_path, small_blocks, case):
+    text, line, message = HOSTILE[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    location = str(path) if line is None else f"{path}:{line}"
+    fast, cells = both_parsers(path)
+    assert fast is None
+    assert isinstance(cells, ParseError)
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    for exc in (cells, err.value):
+        assert (str(exc), exc.location) == (f"{location}: {message}", location)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_stream_fails_at_its_cell(tmp_path, small_blocks, case):
+    # a pipe is read once: the per-cell loop reads on from the failed block
+    text, line, message = HOSTILE[case]
+    path = tmp_path / "t.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(
+        target=path.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True
+    )
+    writer.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    location = str(path) if line is None else f"{path}:{line}"
+    assert str(err.value) == f"{location}: {message}"
+
+
+@pytest.mark.parametrize("case", ACCEPTED)
+def test_accepted_cells_parse_alike(tmp_path, small_blocks, case):
+    text, expected = ACCEPTED[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    fast, cells = both_parsers(path)
+    if fast is not None:  # blank lines leave the reading to the per-cell loop
+        assert np.array_equal(fast, cells, equal_nan=True)
+    assert as_tuples(read_trace(path)) == expected
+
+
+def csv_records(path):
+    """The records of a well-formed trace CSV, read row by row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            TraceRecord(
+                float(row.pop("timestamp")),
+                {k[3:]: float(v) for k, v in row.items() if k.startswith("in.") and v},
+                {k[4:]: float(v) for k, v in row.items() if k.startswith("out.")},
+            )
+            for row in csv.DictReader(fh)
+        ]
+
+
+def bundled_model(name):
+    manifest = bundled.trace_path(name).with_name(f"{name}.manifest.json")
+    return parse_model(bundled.model_path(json.loads(manifest.read_text())["model"]))
+
+
+@pytest.mark.parametrize("name", bundled.TRACES)
+def test_trace_reads_as_its_records(name):
+    path = bundled.trace_path(name)
+    t = read_trace(path)
+    records = csv_records(path)
+    assert list(t) == records
+    assert [t[i] for i in range(-len(t), len(t))] == records + records
+    assert list(t[3:9]) == records[3:9]
+    assert list(t[::7]) == records[::7]
+
+
+@pytest.mark.parametrize("name", bundled.TRACES)
+def test_trace_slices_are_column_views(name):
+    t = read_trace(bundled.trace_path(name))
+    part = t[5:20]
+    assert len(part) == 15
+    assert np.shares_memory(part.timestamps, t.timestamps)
+    for side in ("inputs", "outputs"):
+        columns, parents = getattr(part, side), getattr(t, side)
+        assert list(columns) == list(parents)
+        for name_, column in columns.items():
+            assert np.shares_memory(column, parents[name_])
+            assert column.flags.c_contiguous or len(column) < 2
+
+
+@pytest.mark.parametrize("name", bundled.TRACES)
+def test_write_trace_from_columns_reproduces_bundled_bytes(tmp_path, name):
+    path = bundled.trace_path(name)
+    model = bundled_model(name)
+    out = tmp_path / "t.csv"
+    write_trace(out, read_trace(path), model.input_variables, model.output_variables)
+    assert out.read_bytes() == path.read_bytes()
+    write_trace(out, csv_records(path), model.input_variables, model.output_variables)
+    assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", bundled.TRACES)
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_sliding_effectiveness_same_for_trace_and_records(name, engine):
+    t = read_trace(bundled.trace_path(name))[:60]
+    model = bundled_model(name)
+    a = sliding_effectiveness(t, model, 7, 3, engine=engine)
+    b = sliding_effectiveness(list(t), model, 7, 3, engine=engine)
+    for field in ("timestamps", "conflicts", "resets", "values"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_from_records_keeps_the_records():
+    records = [
+        TraceRecord(0.0, {}, {"y": 1.0}),
+        TraceRecord(1.0, {"u": float("nan")}, {"y": 2.0}),
+        TraceRecord(2.0, {"u": 3.0, "v": 4.0}, {}),
+    ]
+    t = Trace.from_records(records)
+    assert Trace.from_records(t) is t
+    assert [t[i] for i in range(3)] == records and t[1] is records[1]
+    assert list(t[1:]) == records[1:]
+    assert list(t.inputs) == ["u", "v"] and list(t.outputs) == ["y"]
+    nan = float("nan")
+    np.testing.assert_array_equal(t.inputs["u"], [nan, nan, 3.0])
+    np.testing.assert_array_equal(t.inputs["v"], [nan, nan, 4.0])
+    np.testing.assert_array_equal(t.outputs["y"], [1.0, 2.0, nan])
+
+
+def test_generated_trace_is_columns():
+    model = parse_model(bundled.model_path("ride_comfort"))
+    t, zones = generate_trace(model, "mixed", 50, seed=3)
+    assert isinstance(t, Trace) and len(t) == len(zones) == 50
+    assert list(t.inputs) == list(model.input_variables)
+    assert list(t.outputs) == list(model.output_variables)
+    assert np.isfinite(np.stack([*t.inputs.values(), *t.outputs.values()])).all()
+    assert all(isinstance(r, TraceRecord) for r in t)
