@@ -1,34 +1,38 @@
-"""Report emission: a per-record CSV plus an optional JSON summary."""
+"""Report emission: a per-record CSV plus an optional JSON summary.
+
+The CSV is written ``_BLOCK_LINES`` rows at a time, one ``%`` format a row.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
 
 from .forward import EffectivenessReport
+from .trace import _BLOCK_LINES
 
-_FMT = ".12g"
+# timestamp, conflict, step effectiveness (1 - conflict), window cell
+_ROW = "%.12g,%.12g,%.12g,%s\n"
 
 
 def write_report_csv(report: EffectivenessReport, path) -> None:
     """One row per record; the window column fills where a window ends."""
-    conflicts = report.conflicts.tolist()
-    window = [""] * len(conflicts)
-    window[report.window_len - 1 :: report.stride] = [
-        format(v, _FMT) for v in report.values.tolist()
-    ]
-    rows = zip(
-        [format(t, _FMT) for t in report.timestamps.tolist()],
-        [format(c, _FMT) for c in conflicts],
-        [format(1.0 - c, _FMT) for c in conflicts],
-        window,
-    )
+    w, stride = report.window_len, report.stride
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["timestamp", "conflict", "step_effectiveness", "window_effectiveness"]
-        )
-        writer.writerows(rows)
+        fh.write("timestamp,conflict,step_effectiveness,window_effectiveness\n")
+        for first in range(0, len(report.conflicts), _BLOCK_LINES):
+            conflicts = report.conflicts[first : first + _BLOCK_LINES]
+            window = [""] * len(conflicts)
+            k = max(0, -((w - 1 - first) // stride))  # first window to end here
+            ends = slice(w - 1 + k * stride - first, None, stride)
+            values = report.values[k : k + len(window[ends])].tolist()
+            window[ends] = ["%.12g" % v for v in values]
+            rows = zip(
+                report.timestamps[first : first + _BLOCK_LINES].tolist(),
+                conflicts.tolist(),
+                (1.0 - conflicts).tolist(),
+                window,
+            )
+            fh.write("".join([_ROW % row for row in rows]))
 
 
 def summary_dict(report: EffectivenessReport) -> dict:

@@ -6,12 +6,12 @@ required on every record; input cells may be left empty on the first
 record, whose inputs gate no transition.
 
 :func:`read_trace` returns a :class:`Trace`: the timestamps and one float
-column per variable, a first record's empty input cells read as NaN.  The
-CSV rows are parsed a block of lines at a time into one float array each,
-and each block is checked at once for its shape, non-finite cells and
-decreasing timestamps.  From the first block that fails, the rows are read
-on cell by cell, which locates the first fault by line and record with the
-message it always had.  A ``Trace`` reads like the sequence of
+column per variable, a first record's empty input cells read as NaN.  After
+record 0, the CSV lines are parsed a block at a time by ``np.loadtxt``, and
+a block passes if it has one row per line, finite cells and no decreasing
+timestamp.  From the first block that fails, the rows are read on cell by
+cell through ``csv``, which locates the first fault by line and record with
+the message it always had.  A ``Trace`` reads like the sequence of
 :class:`TraceRecord` it replaces: indexing gives a record, slicing a trace
 of column views.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -125,8 +126,9 @@ def _cells(columns: Mapping[str, np.ndarray], i) -> dict[str, float]:
 def read_trace(path) -> Trace:
     """Parse a trace CSV; raises :class:`ParseError` with the record number.
 
-    Missing or unreadable files, non-numeric and non-finite cells all
-    fail here, located by path (and line), never later in evaluation.
+    Missing or unreadable files, bytes that are not UTF-8, malformed CSV,
+    non-numeric and non-finite cells all fail here, located by path (and
+    line), never later in evaluation.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -134,21 +136,42 @@ def read_trace(path) -> Trace:
         raise ParseError(f"cannot read trace file: {exc}", str(path)) from exc
     with fh:
         reader = csv.reader(fh)
-        header, in_cols, out_cols = _read_header(reader, path)
-        blocks, rest = _parse_blocks(reader, len(header), [pos for pos, _ in in_cols])
-        if rest is not None:  # read on cell by cell, which locates a fault
-            done = sum(map(len, blocks))
-            last_ts = float(blocks[-1][-1, 0]) if blocks else None
-            rows = itertools.chain(rest, reader)
-            blocks.append(
-                _parse_cells(rows, path, header, in_cols, out_cols, done, last_ts)
-            )
+        try:
+            header, in_cols, out_cols = _read_header(reader, path)
+            in_pos = [pos for pos, _ in in_cols]
+            blocks, rest = _parse_blocks(fh, reader, len(header), in_pos)
+            if rest is not None:  # read on cell by cell, which locates a fault
+                done = sum(map(len, blocks))
+                last_ts = float(blocks[-1][-1, 0]) if blocks else None
+                blocks.append(
+                    _parse_cells(rest, path, header, in_cols, out_cols, done, last_ts)
+                )
+        except csv.Error as exc:  # in the header or record 0
+            where = f"{path}:{reader.line_num}"
+            raise ParseError(f"malformed CSV: {exc}", where) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"trace file is not UTF-8 ({exc.reason})", _undecodable_at(path)
+            ) from None
     columns = np.ascontiguousarray(np.concatenate(blocks).T)
     return Trace(
         columns[0],
         {name: columns[pos] for pos, name in in_cols},
         {name: columns[pos] for pos, name in out_cols},
     )
+
+
+def _undecodable_at(path) -> str:
+    """``path:line`` of a regular file's first byte that is not UTF-8; a
+    stream, read once, is located by its path alone."""
+    if os.path.isfile(path):
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return f"{path}:{lineno}"
+    return str(path)
 
 
 def _read_header(reader, path) -> tuple[list[str], list, list]:
@@ -179,38 +202,50 @@ def _read_header(reader, path) -> tuple[list[str], list, list]:
     return header, in_cols, out_cols
 
 
-def _parse_blocks(reader, width: int, in_pos: list[int]) -> tuple[list, list | None]:
+def _parse_blocks(
+    fh, reader, width: int, in_pos: list[int]
+) -> tuple[list, Iterable | None]:
     """Blocks of (records x columns) rows, each parsed at once, and the rows
-    of the first block that fails, or None when none does.
+    from the first block that fails on, or None when none does.
 
-    Record 0 is a block of its own.  Its empty input cells, found by
-    position, parse as 0 and are set to NaN after the checks, so that a
-    literal ``nan`` there still fails.  A blank line, a ragged row, a bad
-    cell or a decreasing timestamp fails its block; so does a trace
-    without records.
+    Record 0, the next row of ``reader``, is a block of its own.  Its empty
+    input cells, found by position, parse as 0 and are set to NaN after the
+    checks, so that a literal ``nan`` there still fails.  Later blocks are
+    ``_BLOCK_LINES`` lines of ``fh`` read by ``np.loadtxt``, without
+    comments (``3#x`` is no number), and pass three guards: a row per line
+    (``loadtxt`` drops blank lines, which the per-cell loop counts), finite
+    cells, and no decreasing timestamp.  A failed block's rows are read by
+    one ``csv.reader`` over its lines and the rest of the file, so that a
+    quoted cell may span the block's end.  A trace without records fails.
     """
-    blocks, last = [], -math.inf
-    rows = list(itertools.islice(reader, 1))
-    while rows:
-        cells, empty = rows, []
-        if not blocks and len(rows[0]) == width:
-            empty = [pos for pos in in_pos if not rows[0][pos].strip()]
-            cells = [["0" if pos in empty else c for pos, c in enumerate(rows[0])]]
-        try:
-            block = np.array(cells, dtype=float)
-        except ValueError:
-            return blocks, rows
+    row = next(reader, None)
+    if row is None:
+        return [], []
+    empty = [pos for pos in in_pos if len(row) == width and not row[pos].strip()]
+    no_rows = np.empty((0, width))  # what a block that cannot be parsed reads as
+    try:
+        block = np.array([["0" if p in empty else c for p, c in enumerate(row)]], float)
+    except ValueError:
+        block = no_rows
+    if block.shape != (1, width) or not np.isfinite(block).all():
+        return [], itertools.chain([row], reader)
+    block[0, empty] = np.nan
+    blocks = [block]
+    while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+        block = no_rows
+        if lines[0].strip():  # a blank line fails the block; a block of them would warn
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
         if (
-            block.shape[1:] != (width,)
+            block.shape != (len(lines), width)
             or not np.isfinite(block).all()
-            or (np.diff(block[:, 0], prepend=last) < 0).any()
+            or (np.diff(block[:, 0], prepend=blocks[-1][-1, 0]) < 0).any()
         ):
-            return blocks, rows
-        block[0, empty] = np.nan
+            return blocks, csv.reader(itertools.chain(lines, fh))
         blocks.append(block)
-        last = block[-1, 0]
-        rows = list(itertools.islice(reader, _BLOCK_LINES))
-    return blocks, None if blocks else []
+    return blocks, None
 
 
 def _parse_cells(
@@ -219,46 +254,52 @@ def _parse_cells(
     """Rows of the table cell by cell, after ``done`` records; raises at the
     first fault, by line and record."""
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2 + done):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(row)}", where)
-        record_index = done + len(rows) + 1
+    lineno = 1 + done
+    try:
+        for lineno, row in enumerate(reader, start=2 + done):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} cells, got {len(row)}", where)
+            record_index = done + len(rows) + 1
 
-        def cell(pos, name, required):
-            raw = row[pos].strip()
-            if not raw:
-                if required:
+            def cell(pos, name, required):
+                raw = row[pos].strip()
+                if not raw:
+                    if required:
+                        raise ParseError(
+                            f"record {record_index} is missing column {name!r}", where
+                        )
+                    return math.nan
+                try:
+                    value = float(raw)
+                except ValueError:
                     raise ParseError(
-                        f"record {record_index} is missing column {name!r}", where
+                        f"record {record_index} column {name!r}: not a number: {raw!r}",
+                        where,
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"record {record_index} column {name!r}: not finite: {raw!r}",
+                        where,
                     )
-                return math.nan
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"record {record_index} column {name!r}: not a number: {raw!r}",
-                    where,
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"record {record_index} column {name!r}: not finite: {raw!r}",
-                    where,
-                )
-            return value
+                return value
 
-        ts = cell(0, "timestamp", True)
-        if last_ts is not None and ts < last_ts:
-            raise ParseError(f"record {record_index}: timestamp {ts} decreases", where)
-        last_ts = ts
-        values = [ts] + [math.nan] * (len(header) - 1)
-        for pos, name in in_cols:
-            values[pos] = cell(pos, f"in.{name}", required=record_index > 1)
-        for pos, name in out_cols:
-            values[pos] = cell(pos, f"out.{name}", required=True)
-        rows.append(values)
+            ts = cell(0, "timestamp", True)
+            if last_ts is not None and ts < last_ts:
+                raise ParseError(
+                    f"record {record_index}: timestamp {ts} decreases", where
+                )
+            last_ts = ts
+            values = [ts] + [math.nan] * (len(header) - 1)
+            for pos, name in in_cols:
+                values[pos] = cell(pos, f"in.{name}", required=record_index > 1)
+            for pos, name in out_cols:
+                values[pos] = cell(pos, f"out.{name}", required=True)
+            rows.append(values)
+    except csv.Error as exc:  # the row after the last one read
+        raise ParseError(f"malformed CSV: {exc}", f"{path}:{lineno + 1}") from None
     if not done + len(rows):
         raise ParseError("trace file has no records", str(path))
     return np.array(rows, dtype=float).reshape(-1, len(header))

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from evimon import bundled, trace
+from evimon.cli import main
 from evimon.errors import ParseError
 from evimon.forward import sliding_effectiveness
 from evimon.generate import generate_trace
@@ -60,7 +62,39 @@ HOSTILE = {
         BLOCK + "3,1,1\n6,1,1\n", 7, "record 6: timestamp 3.0 decreases"
     ),
     "no-records": (H + "\n \n", None, "trace file has no records"),
+    "comment-mark-after-a-number": (
+        H + "0,1,1\n9,1,3#x\n", 3, "record 2 column 'out.y': not a number: '3#x'"
+    ),
+    "lone-comment-mark": (H + "0,1,1\n1,#,1\n", 3, "record 2 column 'in.u': not a number: '#'"),
+    "hexadecimal": (
+        H + "0,1,1\n0x10,1,1\n", 3, "record 2 column 'timestamp': not a number: '0x10'"
+    ),
+    "nul-byte": (
+        H + "0,1,1\n1,1\x00,1\n",
+        3,
+        # before 3.11 the csv module rejects the line
+        "malformed CSV: line contains NUL"
+        if sys.version_info < (3, 11)
+        else "record 2 column 'in.u': not a number: '1\\x00'",
+    ),
+    "blank-line-in-a-block-then-a-bad-cell": (
+        H + "0,1,1\n1,1,1\n\n2,1,1\n3,1,1\n4,1,x\n",
+        7,
+        "record 5 column 'out.y': not a number: 'x'",
+    ),
+    "oversized-cell": (
+        H + "0,1,1\n1," + "1" * (csv.field_size_limit() + 1) + ",1\n",
+        3,
+        f"malformed CSV: field larger than field limit ({csv.field_size_limit()})",
+    ),
 }
+# a quoted cell over two lines, from each line around the end of the first block
+for first in range(4, 9):
+    HOSTILE[f"quoted-cell-over-lines-{first}-{first + 1}"] = (
+        H + "".join(f"{t},1,1\n" for t in range(first - 2)) + f'{first},"1\n2",1\n',
+        first,
+        f"record {first - 1} column 'in.u': not a number: '1\\n2'",
+    )
 
 # (text, records as (timestamp, inputs, outputs)): read as the format allows
 ACCEPTED = {
@@ -82,6 +116,26 @@ ACCEPTED = {
         [(float(t), {"u": 1.0}, {"y": 1.0}) for t in range(6)]
         + [(5.0, {"u": 2.0}, {"y": -1.0})],
     ),
+    "quoted-cells": (
+        H + '0,"1",1\n"1","2",3\n',
+        [(0.0, {"u": 1.0}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
+    ),
+    "crlf-line-endings": (
+        H.replace("\n", "\r\n") + "0,1,1\r\n1,2,3\r\n",
+        [(0.0, {"u": 1.0}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
+    ),
+    "fullwidth-digit": (
+        H + "0,1,1\n1,\uff12,3\n",
+        [(0.0, {"u": 1.0}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
+    ),
+    "whitespace-only-line": (
+        H + "0,1,1\n \t \n1,2,3\n",
+        [(0.0, {"u": 1.0}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
+    ),
+    "blank-line-in-a-later-block": (
+        H + "0,1,1\n1,1,1\n\n2,1,1\n3,1,1\n4,1,1\n",
+        [(float(t), {"u": 1.0}, {"y": 1.0}) for t in range(5)],
+    ),
 }
 
 
@@ -90,7 +144,7 @@ def both_parsers(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header, in_cols, out_cols = trace._read_header(reader, path)
-        blocks, rest = trace._parse_blocks(reader, len(header), [p for p, _ in in_cols])
+        blocks, rest = trace._parse_blocks(fh, reader, len(header), [p for p, _ in in_cols])
         fast = np.concatenate(blocks) if rest is None else None
         fh.seek(0)
         reader = csv.reader(fh)
@@ -152,6 +206,69 @@ def test_hostile_stream_fails_at_its_cell(tmp_path, small_blocks, case):
     assert not writer.is_alive()
     location = str(path) if line is None else f"{path}:{line}"
     assert str(err.value) == f"{location}: {message}"
+
+
+def not_utf8(records: int) -> bytes:
+    """A trace whose line after ``records`` good records holds the byte 0xff."""
+    good = "".join(f"{t},1,1\n" for t in range(records))
+    return (H + good).encode() + b"99999,\xff,1\n"
+
+
+NOT_UTF8 = "trace file is not UTF-8 (invalid start byte)"
+
+
+# the decoder reads ahead by chunks: the byte is in its first chunk, or later
+@pytest.mark.parametrize("records", [1, 3000])
+def test_non_utf8_trace_fails_at_its_line(tmp_path, small_blocks, capsys, records):
+    path = tmp_path / "t.csv"
+    path.write_bytes(not_utf8(records))
+    location = f"{path}:{records + 2}"
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert (str(err.value), err.value.location) == (f"{location}: {NOT_UTF8}", location)
+    assert main(["eval", "--model", "speed_limits", "--trace", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {location}: {NOT_UTF8}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("records", [1, 3000])
+def test_non_utf8_stream_fails_at_its_path(tmp_path, small_blocks, records):
+    path = tmp_path / "t.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(
+        target=path.write_bytes, args=(not_utf8(records),), daemon=True
+    )
+    writer.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (str(err.value), err.value.location) == (f"{path}: {NOT_UTF8}", str(path))
+
+
+@pytest.mark.parametrize("case", ["oversized-cell", "nul-byte"])
+def test_eval_of_a_malformed_csv_exits_1(tmp_path, capsys, case):
+    text, line, message = HOSTILE[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["eval", "--model", "speed_limits", "--trace", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_oversized_cell_in_header_or_record_0_fails_at_its_line(tmp_path, line):
+    limit = csv.field_size_limit()
+    lines = [H, "0,1,1\n", "1,1,1\n"]
+    lines[line - 1] = "1" * (limit + 1) + "," + lines[line - 1]
+    path = tmp_path / "t.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    location = f"{path}:{line}"
+    message = f"malformed CSV: field larger than field limit ({limit})"
+    assert (str(err.value), err.value.location) == (f"{location}: {message}", location)
 
 
 @pytest.mark.parametrize("case", ACCEPTED)
