@@ -36,11 +36,14 @@ numpy calls set by the model alone.  The full pass scans each block of B
 maps in C = ceil(B / L) chunks of L = isqrt(B) records (see
 ``_full_pass``): 2L + C iterations of numpy calls per block, not B
 steps.  A chunk with a step whose Dempster reset its rows' conflicts do
-not settle, by a conservative test, is walked record by record.  The windows a block makes ready
-advance together, offset by offset over a buffer of pending maps: W
-steps per block.  A step is O(N**2) per pass; with few states its small
-numpy calls, not the arithmetic, are the cost.  The report is arrays, the
-window values one row-wise product, and its row objects built on request.
+not settle, by a conservative test, is walked record by record.  A
+window over an exact breach, a record whose map conflicts totally on
+every row, is exactly 0 and never advances; the other windows a block
+makes ready advance together, offset by offset over a buffer of pending
+maps, W steps per block, and are reduced to their values at once, so no
+window keeps its W conflicts.  A step is O(N**2) per pass; with few
+states its small numpy calls, not the arithmetic, are the cost.  The
+report is arrays, and its row objects are built on request.
 """
 
 from __future__ import annotations
@@ -449,8 +452,8 @@ def sliding_effectiveness(
 ) -> EffectivenessReport:
     """Windowed effectiveness: every window restarts the forward pass.
 
-    Each window's value is a row of one product of (1 - conflict) over the
-    engine's (windows x W) conflicts.  Records not given as a
+    Each window's value is the product of (1 - conflict) over its own W
+    steps, as the engine returns it.  Records not given as a
     :class:`Trace` are read into one first.
     """
     if window_len < 1:
@@ -465,8 +468,7 @@ def sliding_effectiveness(
     engines = {"fast": _windows_fast, "reference": _windows_reference}
     if engine not in engines:
         raise ValueError(f"unknown engine {engine!r}")
-    conflicts, resets, logs = engines[engine](trace, model, window_len, stride)
-    values = np.prod(np.subtract(1.0, logs, out=logs), axis=1)
+    conflicts, resets, values = engines[engine](trace, model, window_len, stride)
     return EffectivenessReport(
         trace.timestamps, conflicts, resets, values, window_len, stride, model.rule
     )
@@ -509,42 +511,55 @@ def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for c in range(count):
             starts[c] = state
             if exact[c]:
-                state = _advance(eng, state, padded, c * span, span, span)[1]
+                state = _advance(eng, state, span, lambda j: grid[c, j : j + 1])[1]
             else:  # rescale by the largest row the state weighs, not by all
                 logw = np.log(state, out=np.full_like(state, -np.inf), where=state > 0)
                 logw += logs[c]
                 state = np.exp(logw - logw.max()) @ products[c]
-        conflicts = _advance(eng, starts, padded, 0, span, span)[0]
+        conflicts = _advance(eng, starts, span, lambda j: grid[:, j])[0]
         yield maps, conflicts.reshape(-1)[:size]
 
 
-def _advance(eng, stack, maps, first, stride, steps):
-    """Conflicts (passes x steps) and end stack of passes; pass k takes
-    ``maps[first + k * stride + j]`` at step j, a strided view per step."""
+def _advance(eng, stack, steps, operand):
+    """Conflicts (passes x steps) and end stack of passes; step j takes
+    ``operand(j)``, a map per pass."""
     log = np.empty((len(stack), steps))
     for j in range(steps):
-        log[:, j], stack = eng.step(stack, maps[first + j :: stride][: len(stack)])
+        log[:, j], stack = eng.step(stack, operand(j))
     return np.clip(log, 0.0, 1.0, out=log), stack
 
 
 def _windows_fast(trace, model, window_len, stride):
-    """The full pass, and the windows by offset over a buffer of pending maps.
+    """The full pass, and the window values, a batch of windows a block.
 
-    Windows whose last map a block brings start on the start row and take
-    W steps together over strided views of the buffer.  Its first map is
-    record ``first``'s; it then drops the maps before the next window's
-    start, never more than it holds, as a stride can skip whole blocks.
+    The windows whose last map a block brings form a batch, over a buffer
+    of pending maps whose first map is record ``first``'s.  A window over
+    an exact breach, a record whose rows all conflict totally (conflict
+    and total columns equal), reads 1 there from any stack, so its value
+    is exactly 0; the others start on the start row and take W steps
+    together, each gathered by its first record, and are reduced to their
+    values at once.  The buffer then drops the maps before the next
+    window's start, never more than it holds, as a stride can skip whole
+    blocks.
     """
     eng = ContourEngine(model)
     n_windows = (len(trace) - window_len) // stride + 1
-    pending, first, opened, full, logs = None, 0, 0, [], []
+    pending, first, opened, full, values = None, 0, 0, [], []
     for maps, conflicts in _full_pass(eng, trace):
         full.append(conflicts)
         pending = maps if pending is None else np.concatenate((pending, maps))
         ready = min(n_windows, (first + len(pending) - window_len) // stride + 1)
         if ready > opened:
-            lo, states = opened * stride - first, eng.start.repeat(ready - opened, 0)
-            logs.append(_advance(eng, states, pending, lo, stride, window_len)[0])
+            starts = np.arange(opened, ready) * stride - first
+            breach = (pending[:, :, -2] == pending[:, :, -1]).all(1)
+            seen = np.concatenate(([0], np.cumsum(breach)))
+            live = seen[starts + window_len] == seen[starts]
+            batch, firsts = np.zeros(len(starts)), starts[live]
+            if len(firsts):
+                stack = eng.start.repeat(len(firsts), 0)
+                log = _advance(eng, stack, window_len, lambda j: pending[firsts + j])[0]
+                batch[live] = np.prod(np.subtract(1.0, log, out=log), axis=1)
+            values.append(batch)
             opened = ready
         drop = min(opened * stride - first, len(pending))
         pending, first = pending[drop:], first + drop
@@ -552,13 +567,13 @@ def _windows_fast(trace, model, window_len, stride):
     resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS)
     if model.rule != "dempster":
         resets = resets[:0]
-    return full, resets, np.concatenate(logs)
+    return full, resets, np.concatenate(values)
 
 
 def _windows_reference(trace, model, window_len, stride):
     full = run_forward(model, trace)
-    logs = [
-        run_forward(model, trace[s : s + window_len]).conflict_log
+    values = [
+        effectiveness(run_forward(model, trace[s : s + window_len]).conflict_log)
         for s in range(0, len(trace) - window_len + 1, stride)
     ]
-    return np.array(full.conflict_log), np.array(full.resets, int), np.array(logs)
+    return np.array(full.conflict_log), np.array(full.resets, int), np.array(values)

@@ -36,6 +36,7 @@ def write_report_csv(report: EffectivenessReport, path) -> None:
 
 
 def summary_dict(report: EffectivenessReport) -> dict:
+    breach_steps = list(report.breach_steps)
     return {
         "records": len(report.conflicts),
         "window_len": report.window_len,
@@ -45,9 +46,9 @@ def summary_dict(report: EffectivenessReport) -> dict:
         "windows": len(report.values),
         "min_window_effectiveness": float(report.values.min()),
         "max_window_effectiveness": float(report.values.max()),
-        "breach_steps": list(report.breach_steps),
+        "breach_steps": breach_steps,
         "reset_steps": report.resets.tolist(),
-        "breached": bool(report.breach_steps),
+        "breached": bool(breach_steps),
     }
 
 

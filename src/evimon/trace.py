@@ -141,11 +141,12 @@ def read_trace(path) -> Trace:
             in_pos = [pos for pos, _ in in_cols]
             blocks, rest = _parse_blocks(fh, reader, len(header), in_pos)
             if rest is not None:  # read on cell by cell, which locates a fault
+                rows, lines, first = rest
                 done = sum(map(len, blocks))
                 last_ts = float(blocks[-1][-1, 0]) if blocks else None
-                blocks.append(
-                    _parse_cells(rest, path, header, in_cols, out_cols, done, last_ts)
-                )
+                blocks.append(_parse_cells(
+                    rows, path, header, in_cols, out_cols, done, last_ts, lines, first
+                ))
         except csv.Error as exc:  # in the header or record 0
             where = f"{path}:{reader.line_num}"
             raise ParseError(f"malformed CSV: {exc}", where) from None
@@ -204,23 +205,28 @@ def _read_header(reader, path) -> tuple[list[str], list, list]:
 
 def _parse_blocks(
     fh, reader, width: int, in_pos: list[int]
-) -> tuple[list, Iterable | None]:
-    """Blocks of (records x columns) rows, each parsed at once, and the rows
-    from the first block that fails on, or None when none does.
+) -> tuple[list, tuple | None]:
+    """Blocks of (records x columns) rows, each parsed at once, and where the
+    per-cell loop reads on from the first block that fails, or None when
+    none does: a ``csv.reader``, the lines of the file before its own, and
+    the (line, row) pairs it read already.
 
     Record 0, the next row of ``reader``, is a block of its own.  Its empty
     input cells, found by position, parse as 0 and are set to NaN after the
     checks, so that a literal ``nan`` there still fails.  Later blocks are
     ``_BLOCK_LINES`` lines of ``fh`` read by ``np.loadtxt``, without
-    comments (``3#x`` is no number), and pass three guards: a row per line
-    (``loadtxt`` drops blank lines, which the per-cell loop counts), finite
-    cells, and no decreasing timestamp.  A failed block's rows are read by
-    one ``csv.reader`` over its lines and the rest of the file, so that a
-    quoted cell may span the block's end.  A trace without records fails.
+    comments (``3#x`` is no number), and pass four guards: no line longer
+    than the ``csv`` field limit (which the per-cell loop enforces), a row
+    per line (``loadtxt`` drops blank lines, which the per-cell loop
+    counts), finite cells, and no decreasing timestamp.  A failed block's
+    rows are read by one ``csv.reader`` over its lines and the rest of the
+    file, so that a quoted cell may span the block's end.  A trace without
+    records fails.
     """
+    start = reader.line_num + 1
     row = next(reader, None)
     if row is None:
-        return [], []
+        return [], (reader, 0, ())
     empty = [pos for pos in in_pos if len(row) == width and not row[pos].strip()]
     no_rows = np.empty((0, width))  # what a block that cannot be parsed reads as
     try:
@@ -228,12 +234,13 @@ def _parse_blocks(
     except ValueError:
         block = no_rows
     if block.shape != (1, width) or not np.isfinite(block).all():
-        return [], itertools.chain([row], reader)
+        return [], (reader, 0, [(start, row)])
     block[0, empty] = np.nan
-    blocks = [block]
+    blocks, read = [block], reader.line_num
     while lines := list(itertools.islice(fh, _BLOCK_LINES)):
         block = no_rows
-        if lines[0].strip():  # a blank line fails the block; a block of them would warn
+        # a blank line fails the block; a block of them would warn
+        if lines[0].strip() and not _exceeds_field_limit(lines):
             try:
                 block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             except ValueError:
@@ -243,20 +250,46 @@ def _parse_blocks(
             or not np.isfinite(block).all()
             or (np.diff(block[:, 0], prepend=blocks[-1][-1, 0]) < 0).any()
         ):
-            return blocks, csv.reader(itertools.chain(lines, fh))
+            return blocks, (csv.reader(itertools.chain(lines, fh)), read, ())
         blocks.append(block)
+        read += len(lines)
     return blocks, None
 
 
+def _exceeds_field_limit(lines: list[str]) -> bool:
+    """Whether a line is longer than the ``csv`` field limit L.
+
+    The lines are measured only if some aligned stretch of L // 2
+    characters holds no ``\n``, as every line longer than L spans one.
+    """
+    limit = csv.field_size_limit()
+    text, half = "".join(lines), max(1, limit // 2)
+    stretches = range(0, len(text) - half + 1, half)
+    if all(text.find("\n", a, a + half) >= 0 for a in stretches):
+        return False
+    return max(map(len, lines)) > limit
+
+
 def _parse_cells(
-    reader, path, header, in_cols, out_cols, done: int = 0, last_ts=None
+    reader, path, header, in_cols, out_cols, done=0, last_ts=None, lines=0, first=()
 ) -> np.ndarray:
     """Rows of the table cell by cell, after ``done`` records; raises at the
-    first fault, by line and record."""
+    first fault, by line and record.
+
+    ``reader`` reads on after ``lines`` lines of the file, and ``first``
+    holds the (line, row) pairs read before it.  A row's line is its first.
+    """
+
+    def numbered():
+        yield from first
+        last = lines + reader.line_num
+        for row in reader:
+            yield last + 1, row
+            last = lines + reader.line_num
+
     rows: list[list[float]] = []
-    lineno = 1 + done
     try:
-        for lineno, row in enumerate(reader, start=2 + done):
+        for lineno, row in numbered():
             if not row or all(not cell.strip() for cell in row):
                 continue
             where = f"{path}:{lineno}"
@@ -298,8 +331,9 @@ def _parse_cells(
             for pos, name in out_cols:
                 values[pos] = cell(pos, f"out.{name}", required=True)
             rows.append(values)
-    except csv.Error as exc:  # the row after the last one read
-        raise ParseError(f"malformed CSV: {exc}", f"{path}:{lineno + 1}") from None
+    except csv.Error as exc:  # on the line the reader stopped at
+        where = f"{path}:{lines + reader.line_num}"
+        raise ParseError(f"malformed CSV: {exc}", where) from None
     if not done + len(rows):
         raise ParseError("trace file has no records", str(path))
     return np.array(rows, dtype=float).reshape(-1, len(header))

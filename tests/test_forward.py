@@ -659,6 +659,86 @@ def test_window_grid_agrees_with_reference(rule):
         assert_engines_agree(records, model, window_len, stride)
 
 
+def stepwise_windows(model, records, window_len, stride):
+    """Every window advanced on its own, one record at a time, each step
+    read from the engine, and its value the product of (1 - conflict)."""
+    from evimon.forward import ContourEngine
+
+    eng = ContourEngine(model)
+    maps = np.concatenate(list(eng.sweep(records)))
+    values = []
+    for first in range(0, len(records) - window_len + 1, stride):
+        state, log = eng.start, []
+        for operand in maps[first : first + window_len]:
+            conflict, state = eng.step(state, operand)
+            log.append(float(conflict[0]))
+        values.append(np.prod(1.0 - np.clip(log, 0.0, 1.0)))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_windows_over_an_exact_breach_are_exactly_0(rule, monkeypatch):
+    # a record whose rows all conflict totally (emission all 0) reads 1
+    # from any stack: every window over it is exactly 0 and never
+    # advances.  The test of a breach takes every row: arcs that all map
+    # to nothing conflict totally on the arc rows alone, which a window
+    # never weighs at its first step, and under a prior on {s0} an
+    # emission [0, 1] conflicts totally on the start row alone, which no
+    # window weighs after its first step.  Near-breaches (K = 1 - 2**-44)
+    # are no breach.  Blocks of 1 to 64 records make batches of windows
+    # that are all dead, all live or mixed, and blocks that open none.
+    rng = np.random.default_rng(18)
+    tiny = 2.0**-44
+    kinds = ["graded"] * 90
+    for t in (9, 33, 34, 70):
+        kinds[t] = "breach"
+    for t in (0, 15, 52):
+        kinds[t] = "near-breach"
+    for t in (20, 44, 61, 80):
+        kinds[t] = "arc rows"
+    for t in (1, 26, 27, 57, 85):
+        kinds[t] = "start row"
+    records = []
+    for t, kind in enumerate(kinds):
+        arcs, emission = rng.uniform(0.05, 1.0, (2, 2)), rng.uniform(0.05, 1.0, 2)
+        if kind == "breach":
+            emission = [0.0, 0.0]
+        elif kind == "near-breach":
+            arcs, emission = [[1, 1], [1, 1]], [tiny, 0.0]
+        elif kind == "arc rows":
+            arcs, emission = [[0, 0], [0, 0]], [1.0, 1.0]
+        elif kind == "start row":
+            emission = [0.0, 1.0]
+        records.append(graded_record(t, arcs, emission))
+    frame = Frame(["s0", "s1"])
+    grid = [(1, 1), (1, 4), (2, 3), (3, 1), (5, 7), (7, 3), (12, 5), (len(kinds), 1)]
+    seen = {"arc rows": 0, "start row": 0}
+    for prior in (None, categorical(frame, {"s0"})):
+        model = graded_model(2, rule, prior)
+        refs = {
+            case: sliding_effectiveness(records, model, *case, engine="reference")
+            for case in grid
+        }
+        for records_per_block in BLOCKS:
+            set_block(monkeypatch, model, records_per_block)
+            for (window_len, stride), ref in refs.items():
+                report = sliding_effectiveness(records, model, window_len, stride)
+                assert_reports_agree(report, ref)
+                expected = stepwise_windows(model, records, window_len, stride)
+                assert report.values.tobytes() == expected.tobytes()
+                for window in report.windows:
+                    held = kinds[window.start : window.end + 1]
+                    start_row = prior is not None and held[0] == "start row"
+                    if "breach" in held:
+                        assert window.value == 0.0
+                    elif "arc rows" not in held[1:] and not start_row:
+                        assert window.value > 0.0
+                        seen["arc rows"] += held[0] == "arc rows"
+                        seen["start row"] += prior is not None and "start row" in held[1:]
+        monkeypatch.undo()
+    assert seen["arc rows"] and seen["start row"]
+
+
 # sha256 of float.hex of every conflict, then every window value, of
 # five seeded random models per rule, whose transition rows depend on the
 # source state

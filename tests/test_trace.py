@@ -88,6 +88,26 @@ HOSTILE = {
         f"malformed CSV: field larger than field limit ({csv.field_size_limit()})",
     ),
 }
+# a finite number longer than the csv field limit, on line 7 (a block of its own)
+OVERSIZED = BLOCK + "5,0." + "0" * (csv.field_size_limit() - 1) + "1,1\n"
+HOSTILE["oversized-finite-cell"] = (
+    OVERSIZED, 7, f"malformed CSV: field larger than field limit ({csv.field_size_limit()})"
+)
+HOSTILE["oversized-finite-cell-then-a-bad-line"] = (
+    OVERSIZED + "6,x,1\n", *HOSTILE["oversized-finite-cell"][1:]
+)
+# a fault after a quoted cell over two lines is located by physical line
+HOSTILE["quoted-cell-over-lines-in-record-0"] = (
+    H + '0,"1\n2",1\n1,1,1\n', 2, "record 1 column 'in.u': not a number: '1\\n2'"
+)
+HOSTILE["bad-cell-after-a-quoted-record-0-over-lines"] = (
+    H + '0,"1\n",1\n1,x,1\n', 4, "record 2 column 'in.u': not a number: 'x'"
+)
+HOSTILE["bad-cell-after-a-quoted-cell-over-lines-in-a-later-block"] = (
+    BLOCK + '5,"1\n",1\n6,1,1\n\n7,1,1\n8,x,1\n',
+    12,
+    "record 9 column 'in.u': not a number: 'x'",
+)
 # a quoted cell over two lines, from each line around the end of the first block
 for first in range(4, 9):
     HOSTILE[f"quoted-cell-over-lines-{first}-{first + 1}"] = (
@@ -269,6 +289,19 @@ def test_oversized_cell_in_header_or_record_0_fails_at_its_line(tmp_path, line):
     location = f"{path}:{line}"
     message = f"malformed CSV: field larger than field limit ({limit})"
     assert (str(err.value), err.value.location) == (f"{location}: {message}", location)
+
+
+@pytest.mark.parametrize("bad_line", [False, True])
+def test_oversized_finite_cell_fails_in_a_block_that_would_pass(tmp_path, bad_line):
+    # in one block of the default length, with or without a line that
+    # fails the block: loadtxt reads the cell, but the csv module rejects it
+    case = "oversized-finite-cell" + ("-then-a-bad-line" if bad_line else "")
+    text, line, message = HOSTILE[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
 
 
 @pytest.mark.parametrize("case", ACCEPTED)
