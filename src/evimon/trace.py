@@ -6,14 +6,12 @@ required on every record; input cells may be left empty on the first
 record, whose inputs gate no transition.
 
 :func:`read_trace` returns a :class:`Trace`: the timestamps and one float
-column per variable, a first record's empty input cells read as NaN.  After
-record 0, the CSV lines are parsed a block at a time by ``np.loadtxt``, and
-a block passes if it has one row per line, finite cells and no decreasing
-timestamp.  From the first block that fails, the rows are read on cell by
-cell through ``csv``, which locates the first fault by line and record with
-the message it always had.  A ``Trace`` reads like the sequence of
-:class:`TraceRecord` it replaces: indexing gives a record, slicing a trace
-of column views.
+column per variable, a first record's empty input cells read as NaN.  The
+CSV lines are parsed a block at a time by ``np.loadtxt``, and a block that
+fails its guards is read cell by cell through ``csv``, which locates the
+first fault by line and record with the message it always had.  A
+``Trace`` reads like the sequence of :class:`TraceRecord` it replaces:
+indexing gives a record, slicing a trace of column views.
 """
 
 from __future__ import annotations
@@ -138,22 +136,16 @@ def read_trace(path) -> Trace:
         reader = csv.reader(fh)
         try:
             header, in_cols, out_cols = _read_header(reader, path)
-            in_pos = [pos for pos, _ in in_cols]
-            blocks, rest = _parse_blocks(fh, reader, len(header), in_pos)
-            if rest is not None:  # read on cell by cell, which locates a fault
-                rows, lines, first = rest
-                done = sum(map(len, blocks))
-                last_ts = float(blocks[-1][-1, 0]) if blocks else None
-                blocks.append(_parse_cells(
-                    rows, path, header, in_cols, out_cols, done, last_ts, lines, first
-                ))
-        except csv.Error as exc:  # in the header or record 0
+            blocks = _parse_blocks(fh, path, header, in_cols, out_cols, reader.line_num)
+        except csv.Error as exc:  # in the header
             where = f"{path}:{reader.line_num}"
             raise ParseError(f"malformed CSV: {exc}", where) from None
         except UnicodeDecodeError as exc:
             raise ParseError(
                 f"trace file is not UTF-8 ({exc.reason})", _undecodable_at(path)
             ) from None
+    if not blocks:
+        raise ParseError("trace file has no records", str(path))
     columns = np.ascontiguousarray(np.concatenate(blocks).T)
     return Trace(
         columns[0],
@@ -184,7 +176,7 @@ def _read_header(reader, path) -> tuple[list[str], list, list]:
     header = [h.strip() for h in header]
     if not header or header[0] != "timestamp":
         raise ParseError(
-            f"first column must be 'timestamp', got {header[:1]}", str(path)
+            f"first column must be 'timestamp', got {header[:1]}", f"{path}:1"
         )
     in_cols = []
     out_cols = []
@@ -203,41 +195,22 @@ def _read_header(reader, path) -> tuple[list[str], list, list]:
     return header, in_cols, out_cols
 
 
-def _parse_blocks(
-    fh, reader, width: int, in_pos: list[int]
-) -> tuple[list, tuple | None]:
-    """Blocks of (records x columns) rows, each parsed at once, and where the
-    per-cell loop reads on from the first block that fails, or None when
-    none does: a ``csv.reader``, the lines of the file before its own, and
-    the (line, row) pairs it read already.
+def _parse_blocks(fh, path, header, in_cols, out_cols, read: int) -> list[np.ndarray]:
+    """The non-empty blocks of (records x columns) rows after the header's
+    ``read`` lines: record 0's line, then ``_BLOCK_LINES`` lines at a time.
 
-    Record 0, the next row of ``reader``, is a block of its own.  Its empty
-    input cells, found by position, parse as 0 and are set to NaN after the
-    checks, so that a literal ``nan`` there still fails.  Later blocks are
-    ``_BLOCK_LINES`` lines of ``fh`` read by ``np.loadtxt``, without
-    comments (``3#x`` is no number), and pass four guards: no line longer
-    than the ``csv`` field limit (which the per-cell loop enforces), a row
-    per line (``loadtxt`` drops blank lines, which the per-cell loop
-    counts), finite cells, and no decreasing timestamp.  A failed block's
-    rows are read by one ``csv.reader`` over its lines and the rest of the
-    file, so that a quoted cell may span the block's end.  A trace without
-    records fails.
+    A block is read by ``np.loadtxt``, without comments (``3#x`` is no
+    number), if it passes four guards: no line longer than the ``csv``
+    field limit (which the per-cell loop enforces), a row per line
+    (``loadtxt`` drops blank lines, which the per-cell loop counts), finite
+    cells, and no decreasing timestamp.  Any other block is read by the
+    per-cell loop, which locates its first fault, over a ``csv.reader`` of
+    its lines and the rest of the file that stops at the end of the row
+    holding its last line, so that a quoted cell may span the block's end.
     """
-    start = reader.line_num + 1
-    row = next(reader, None)
-    if row is None:
-        return [], (reader, 0, ())
-    empty = [pos for pos in in_pos if len(row) == width and not row[pos].strip()]
-    no_rows = np.empty((0, width))  # what a block that cannot be parsed reads as
-    try:
-        block = np.array([["0" if p in empty else c for p, c in enumerate(row)]], float)
-    except ValueError:
-        block = no_rows
-    if block.shape != (1, width) or not np.isfinite(block).all():
-        return [], (reader, 0, [(start, row)])
-    block[0, empty] = np.nan
-    blocks, read = [block], reader.line_num
-    while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+    blocks, done, last_ts, size = [], 0, -math.inf, 1
+    no_rows = np.empty((0, len(header)))  # what a block that cannot be parsed reads as
+    while lines := list(itertools.islice(fh, size)):
         block = no_rows
         # a blank line fails the block; a block of them would warn
         if lines[0].strip() and not _exceeds_field_limit(lines):
@@ -246,14 +219,22 @@ def _parse_blocks(
             except ValueError:
                 pass
         if (
-            block.shape != (len(lines), width)
+            block.shape != (len(lines), len(header))
             or not np.isfinite(block).all()
-            or (np.diff(block[:, 0], prepend=blocks[-1][-1, 0]) < 0).any()
+            or (np.diff(block[:, 0], prepend=last_ts) < 0).any()
         ):
-            return blocks, (csv.reader(itertools.chain(lines, fh)), read, ())
-        blocks.append(block)
-        read += len(lines)
-    return blocks, None
+            reader = csv.reader(itertools.chain(lines, fh))
+            block = _parse_cells(
+                reader, path, header, in_cols, out_cols, done, last_ts, read, len(lines)
+            )
+            read += reader.line_num
+        else:
+            read += len(lines)
+        if len(block):
+            blocks.append(block)
+            done, last_ts = done + len(block), block[-1, 0]
+        size = _BLOCK_LINES
+    return blocks
 
 
 def _exceeds_field_limit(lines: list[str]) -> bool:
@@ -271,21 +252,23 @@ def _exceeds_field_limit(lines: list[str]) -> bool:
 
 
 def _parse_cells(
-    reader, path, header, in_cols, out_cols, done=0, last_ts=None, lines=0, first=()
+    reader, path, header, in_cols, out_cols, done=0, last_ts=-math.inf, lines=0,
+    stop=math.inf,
 ) -> np.ndarray:
     """Rows of the table cell by cell, after ``done`` records; raises at the
     first fault, by line and record.
 
-    ``reader`` reads on after ``lines`` lines of the file, and ``first``
-    holds the (line, row) pairs read before it.  A row's line is its first.
+    ``reader`` reads on after ``lines`` lines of the file, up to the end of
+    the row that holds its ``stop``-th line.  A row's line is its first.
     """
 
     def numbered():
-        yield from first
-        last = lines + reader.line_num
+        last = reader.line_num
         for row in reader:
-            yield last + 1, row
-            last = lines + reader.line_num
+            yield lines + last + 1, row
+            last = reader.line_num
+            if last >= stop:
+                return
 
     rows: list[list[float]] = []
     try:
@@ -320,7 +303,7 @@ def _parse_cells(
                 return value
 
             ts = cell(0, "timestamp", True)
-            if last_ts is not None and ts < last_ts:
+            if ts < last_ts:
                 raise ParseError(
                     f"record {record_index}: timestamp {ts} decreases", where
                 )
@@ -334,8 +317,6 @@ def _parse_cells(
     except csv.Error as exc:  # on the line the reader stopped at
         where = f"{path}:{lines + reader.line_num}"
         raise ParseError(f"malformed CSV: {exc}", where) from None
-    if not done + len(rows):
-        raise ParseError("trace file has no records", str(path))
     return np.array(rows, dtype=float).reshape(-1, len(header))
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,21 +157,52 @@ ACCEPTED = {
         H + "0,1,1\n1,1,1\n\n2,1,1\n3,1,1\n4,1,1\n",
         [(float(t), {"u": 1.0}, {"y": 1.0}) for t in range(5)],
     ),
+    # lines 3-6, a whole block: loadtxt would warn that it holds no data
+    "a-block-of-blank-lines": (
+        H + "0,1,1\n" + "\n" * 4 + "1,2,3\n",
+        [(0.0, {"u": 1.0}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
+    ),
+}
+
+# (text, line or None, message): each fails in the header, or for the lack of one
+HEADER_FAULTS = {
+    "empty-file": ("", None, "trace file is empty"),
+    "wrong-first-column": (
+        "time,in.u,out.y\n0,1,1\n", 1, "first column must be 'timestamp', got ['time']"
+    ),
+    "byte-order-mark": (
+        "\ufeff" + H + "0,1,1\n",
+        1,
+        "first column must be 'timestamp', got ['\\ufefftimestamp']",
+    ),
+    "duplicate-column": ("timestamp,in.u,in.u,out.y\n0,1,1,1\n", 1, "duplicate column 'in.u'"),
+    "unprefixed-column": (
+        "timestamp,u,out.y\n0,1,1\n", 1, "column 'u' is neither 'in.<name>' nor 'out.<name>'"
+    ),
 }
 
 
 def both_parsers(path):
-    """The fast table (or None) and the per-cell table (or its ParseError)."""
+    """The fast table (or None once a block is read cell by cell) and the
+    per-cell table of the whole file (or its ParseError)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header, in_cols, out_cols = trace._read_header(reader, path)
-        blocks, rest = trace._parse_blocks(fh, reader, len(header), [p for p, _ in in_cols])
-        fast = np.concatenate(blocks) if rest is None else None
+        with mock.patch.object(trace, "_parse_cells", wraps=trace._parse_cells) as spy:
+            try:
+                blocks = trace._parse_blocks(
+                    fh, path, header, in_cols, out_cols, reader.line_num
+                )
+            except ParseError:
+                blocks = None
+        fast = None if spy.called else np.concatenate(blocks)
         fh.seek(0)
         reader = csv.reader(fh)
         next(reader)
         try:
             cells = trace._parse_cells(reader, path, header, in_cols, out_cols)
+            if not len(cells):  # which read_trace rejects
+                raise ParseError("trace file has no records", str(path))
         except ParseError as exc:
             cells = exc
     return fast, cells
@@ -226,6 +258,41 @@ def test_hostile_stream_fails_at_its_cell(tmp_path, small_blocks, case):
     assert not writer.is_alive()
     location = str(path) if line is None else f"{path}:{line}"
     assert str(err.value) == f"{location}: {message}"
+
+
+@pytest.mark.parametrize("case", HEADER_FAULTS)
+def test_header_fault_is_located(tmp_path, case):
+    text, line, message = HEADER_FAULTS[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    location = str(path) if line is None else f"{path}:{line}"
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert (str(err.value), err.value.location) == (f"{location}: {message}", location)
+
+
+def test_only_a_block_with_an_odd_line_is_read_cell_by_cell(tmp_path, small_blocks):
+    # blocks of lines 2 (blank), 3-6, 7-10 (blank line 8), 11-14, 15-18 (a
+    # quoted cell from line 18 over line 19), 20-23 and 24
+    rows = [f"{t},1,{t}\n" for t in range(20)]
+    text = H + "\n" + "".join(rows[:5]) + "\n" + "".join(rows[5:14])
+    text += '14,"1\n",14\n' + "".join(rows[15:])
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    cells = mock.Mock(wraps=trace._parse_cells)
+    loadtxt = mock.Mock(wraps=np.loadtxt)
+    with mock.patch.object(trace, "_parse_cells", cells):
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            t = read_trace(path)
+    # read cell by cell: the blocks after lines 1, 6 and 14, so loadtxt reads
+    # those of lines 3, 11, 20 and 24 (it sees every block after the blank one)
+    assert [c.args[7] for c in cells.call_args_list] == [1, 6, 14]
+    assert [c.args[0][0] for c in loadtxt.call_args_list] == [
+        rows[0], rows[4], rows[7], rows[11], rows[15], rows[19]
+    ]
+    table = np.column_stack([t.timestamps, t.inputs["u"], t.outputs["y"]])
+    assert np.array_equal(table, both_parsers(path)[1])
+    assert table[:, 0].tolist() == list(range(20))
 
 
 def not_utf8(records: int) -> bytes:
