@@ -32,11 +32,14 @@ constraint vector once per block over a view of the trace's columns
 (see ``trace.Trace``; records given one by one are read into columns
 once, on entry): O((N + F) * N) work per record for a prior of F focal
 sets, O((N + F) * N**2) under Dubois-Prade, and per block a number of
-numpy calls set by the model alone.  The full pass scans each block of B
-maps in C = ceil(B / L) chunks of L = isqrt(B) records (see
-``_full_pass``): 2L + C iterations of numpy calls per block, not B
-steps.  A chunk with a step whose Dempster reset its rows' conflicts do
-not settle, by a conservative test, is walked record by record.  A
+numpy calls set by the model alone.  A block's maps are written in place
+into one array, and its columns, values and scan arrays are freed before
+the next block, so a pass holds a few times the bytes of one block's
+maps, which ``_BLOCK_CELLS`` bounds.  The full pass scans each block of B
+maps in C = ceil(B / L) chunks of L = isqrt(B) records (see ``_scan``):
+2L + C iterations of numpy calls per block, not B steps.  A chunk with a
+step whose Dempster reset its rows' conflicts do not settle, by a
+conservative test, is walked record by record.  A
 window over an exact breach, a record whose map conflicts totally on
 every row, is exactly 0 and never advances; the other windows a block
 makes ready advance together, offset by offset over a buffer of pending
@@ -77,8 +80,9 @@ from .trace import Trace, TraceRecord
 
 _CONTOUR_EPS = 1e-15
 # cells of the largest array of a block of records (records x rows x N + 3,
-# rows = N + 1 or focal sets): bounds its memory; windows take W steps a block
-_BLOCK_CELLS = 1 << 14
+# rows = N + 1 or focal sets): a pass holds a few such arrays at once, and
+# windows take W steps a block
+_BLOCK_CELLS = 1 << 15
 
 
 def _clip_unit(value: float) -> float:
@@ -247,19 +251,21 @@ class ContourEngine:
         out as :meth:`_cuts` lays it out.  Records not given as a
         :class:`Trace` are read into one first.
         """
-        n = self._prior_rows.shape[2]
         trace = Trace.from_records(trace)
         for first in range(0, len(trace), self._block):
-            block = trace[first : first + self._block]
-            size = len(block)
-            skip = int(first == 0)
-            inputs, outputs = self._read(block, skip)
-            e = self._emissions.values(outputs, size)
-            arcs = self._arcs.values(inputs, size - skip)
-            maps = np.ones((size, n + 1, n + 3))
-            maps[skip:, :n] = self._cuts(arcs, e[skip:])
-            maps[:, n] = self._masses @ self._cuts(self._prior_rows, e)
-            yield maps
+            yield self._maps(trace[first : first + self._block], int(first == 0))
+
+    def _maps(self, block: Trace, skip) -> np.ndarray:
+        """The maps of one block, whose columns and values are freed on return."""
+        size, n = len(block), self._prior_rows.shape[2]
+        inputs, outputs = self._read(block, skip)
+        e = self._emissions.values(outputs, size)
+        maps = np.empty((size, n + 1, n + 3))
+        maps[:skip] = 1.0
+        self._cuts(self._arcs.values(inputs, size - skip), e[skip:], maps[skip:, :n])
+        starts = np.empty((size, len(self._masses), n + 3))
+        maps[:, n] = self._masses @ self._cuts(self._prior_rows, e, starts)
+        return maps
 
     def _read(self, block: Trace, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -279,34 +285,43 @@ class ContourEngine:
             self._model.emission_possibilities(rec.outputs)
         raise AssertionError("a block failed to read, but none of its records")
 
-    def _cuts(self, rows, e) -> np.ndarray:
-        """Rows of ``M_t`` (records x rows x N + 3) of a block of rows.
+    def _cuts(self, rows, e, out) -> np.ndarray:
+        """Write the rows of ``M_t`` of a block of rows into ``out``; return it.
 
         ``rows`` is (records x rows x N) consonant contours, or (1 x rows x
-        N) rows every record shares.  Taken in the descending order of
-        ``e``, rectangle k adds the alpha-strip ``(max_{l<k} P_il, P_ik]``
-        at height ``e_k``, so ``strips @ e_sorted`` is each row's union
-        area, and one minus it the row's conflict.  A row holds what it
-        sends to the next contour under the rule, so that a step is one
-        linear map (``P_i * e`` under Dempster, the same plus the conflict
-        on every state under Yager, the Dubois-Prade contour of the row),
-        then 0 (nothing flows back to the start row), its conflict and 1.
+        N) rows every record shares, and ``out`` (records x rows x N + 3).
+        Taken in the descending order of ``e``, rectangle k adds the
+        alpha-strip ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so
+        ``strips @ e_sorted`` is each row's union area, and one minus it
+        the row's conflict.  A row holds what it sends to the next contour
+        under the rule, so that a step is one linear map (``P_i * e`` under
+        Dempster, the same plus the conflict on every state under Yager, the
+        Dubois-Prade contour of the row), then 0 (nothing flows back to the
+        start row), its conflict and 1.
         """
+        n = e.shape[1]
         order = (-e).argsort(axis=1)
         e_sorted = np.take_along_axis(e, order, axis=1)
-        reach = np.maximum.accumulate(
-            np.take_along_axis(rows, order[:, None, :], axis=2), axis=2
-        )
+        reach = _gather(rows, order)
+        for k in range(1, n):  # a running max, a column at a time
+            np.maximum(reach[..., k - 1], reach[..., k], out=reach[..., k])
         strips = _increments(reach)
-        area = strips @ e_sorted[:, :, None]
+        np.subtract(1.0, (strips @ e_sorted[:, :, None])[..., 0], out=out[..., n + 1])
+        out[..., n] = 0.0
+        out[..., n + 2] = 1.0
+        transfer = out[..., :n]
         if self.rule == "dubois_prade":
-            transfer = _dubois_prade_rows(rows, e, e_sorted, reach, strips)
-        else:
-            transfer = rows * e[:, None, :]
-            if self.rule == "yager":
-                transfer += 1.0 - area
-        readout = (np.zeros_like(area), 1.0 - area, np.ones_like(area))
-        return np.concatenate((transfer, *readout), axis=2)
+            # the union area below b = e_j first, so that the strips are freed
+            heights = np.minimum(e_sorted[:, :, None], e[:, None, :])
+            np.matmul(strips, heights, out=transfer)
+            del strips, heights
+            _dubois_prade_rows(rows, e, e_sorted, reach, transfer)
+            return out
+        del reach, strips
+        np.multiply(rows, e[:, None, :], out=transfer)
+        if self.rule == "yager":
+            transfer += out[..., n + 1, None]
+        return out
 
     def step(self, stack, maps) -> tuple[np.ndarray, np.ndarray]:
         """Conflicts and next stack of a stack of passes.
@@ -353,8 +368,18 @@ def _increments(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dubois_prade_rows(rows, e, e_sorted, reach, strips) -> np.ndarray:
-    """Contour each row leaves once every disjoint pair of cuts moves to its union.
+def _gather(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``rows`` (records or 1 x rows x N) with each record's last axis taken
+    in its ``order`` (records x N), by one flat index: about twice as fast
+    as ``take_along_axis``, whose fancy index takes an array per axis."""
+    count, width, n = rows.shape
+    flat = np.arange(0, count * width * n, n).reshape(count, width, 1)
+    return np.take(rows, order[:, None, :] + flat)
+
+
+def _dubois_prade_rows(rows, e, e_sorted, reach, out) -> None:
+    """Turn ``out``, each row's union area below ``b = e_j``, into the
+    contour each row leaves once every disjoint pair of cuts moves to its union.
 
     ``D_ij = P_ij e_j + Pr(disjoint, a <= P_ij) + Pr(disjoint, b <= e_j)
     + (1 - max_k P_ik)(1 - max e)``; the last term is the pair of empty
@@ -362,18 +387,16 @@ def _dubois_prade_rows(rows, e, e_sorted, reach, strips) -> np.ndarray:
     operand carries a leading axis of records, or of 1.
     """
     e = e[:, None, :]
-    # union area left of a = P_ij (a row at a time, to bound the memory),
-    # and below b = e_j
-    left = np.stack([
-        (
-            _increments(np.minimum(reach[:, i, None, :], rows[:, i, :, None]))
-            @ e_sorted[:, :, None]
-        )[..., 0]
-        for i in range(rows.shape[1])
-    ], axis=1)
-    below = strips @ np.minimum(e_sorted[:, :, None], e)
-    both_empty = (1.0 - reach[:, :, -1:]) * (1.0 - e_sorted[:, None, :1])
-    return rows * e + (rows - left) + (e - below) + both_empty
+    np.subtract(e, out, out=out)
+    # union area left of a = P_ij, a row at a time to bound the memory; a
+    # row's P_ij e_j + (P_ij - left) then joins the sum, in either order
+    for i in range(rows.shape[1]):
+        cut = np.minimum(reach[:, i, None, :], rows[:, i, :, None])
+        left = (_increments(cut) @ e_sorted[:, :, None])[..., 0]
+        own = np.subtract(rows[:, i], left, out=left)
+        own += rows[:, i] * e[:, 0]
+        out[:, i] += own
+    out += (1.0 - reach[:, :, -1:]) * (1.0 - e_sorted[:, None, :1])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +498,17 @@ def sliding_effectiveness(
 
 
 def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block, its maps and the conflicts of the pass over the whole trace.
+    """Per block, its maps and the conflicts of the pass over the whole trace
+    (see ``_scan``); a block's maps are not held while the next is swept."""
+    state = eng.start
+    for maps in eng.sweep(trace):
+        conflicts, state = _scan(eng, maps, state)
+        yield maps, conflicts
+        del maps
+
+
+def _scan(eng, maps, state) -> tuple[np.ndarray, np.ndarray]:
+    """Conflicts of a block's maps and the state after them, from ``state``.
 
     A chunked scan of ``A_t = M_t[:, :N + 1]``.  A step is ambiguous unless
     all its rows' conflicts lie eps/2 or more above Dempster's threshold,
@@ -485,39 +518,37 @@ def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     chunk boundaries carries the state, record by record through a chunk
     with an ambiguous step; then all chunks advance from their starts.
     """
-    state = eng.start
-    for maps in eng.sweep(trace):
-        size, rows, cols = maps.shape
-        span = math.isqrt(size)
-        count = -(-size // span)
-        pad = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
-        padded = np.concatenate((maps, pad[None].repeat(count * span - size, 0)))
-        grid = padded.reshape(count, span, rows, cols)
-        chunks = grid[..., :rows].copy()
-        exact = np.zeros(count, bool)
-        if eng.rule == "dempster":
-            margin = grid[..., -2] - (1.0 - _TOTAL_CONFLICT_EPS)
-            always = margin.min(2) >= _TOTAL_CONFLICT_EPS / 2
-            chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
-            exact = (~always & (margin.max(2) > -_TOTAL_CONFLICT_EPS / 2)).any(1)
-        products, logs = np.eye(rows), np.zeros((count, rows))
-        for j in range(span):
-            products = products @ chunks[:, j]
-            scale = products.max(2)
-            live = scale > 0  # a row that is exactly 0 stays 0
-            np.divide(products, scale[..., None], out=products, where=live[..., None])
-            logs += np.log(scale, out=np.full_like(scale, -np.inf), where=live)
-        starts = np.empty((count, rows))
-        for c in range(count):
-            starts[c] = state
-            if exact[c]:
-                state = _advance(eng, state, span, lambda j: grid[c, j : j + 1])[1]
-            else:  # rescale by the largest row the state weighs, not by all
-                logw = np.log(state, out=np.full_like(state, -np.inf), where=state > 0)
-                logw += logs[c]
-                state = np.exp(logw - logw.max()) @ products[c]
-        conflicts = _advance(eng, starts, span, lambda j: grid[:, j])[0]
-        yield maps, conflicts.reshape(-1)[:size]
+    size, rows, cols = maps.shape
+    span = math.isqrt(size)
+    count = -(-size // span)
+    pad = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
+    padded = np.concatenate((maps, pad[None].repeat(count * span - size, 0)))
+    grid = padded.reshape(count, span, rows, cols)
+    chunks = grid[..., :rows].copy()
+    exact = np.zeros(count, bool)
+    if eng.rule == "dempster":
+        margin = grid[..., -2] - (1.0 - _TOTAL_CONFLICT_EPS)
+        always = margin.min(2) >= _TOTAL_CONFLICT_EPS / 2
+        chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
+        exact = (~always & (margin.max(2) > -_TOTAL_CONFLICT_EPS / 2)).any(1)
+    products, logs = np.eye(rows), np.zeros((count, rows))
+    for j in range(span):
+        products = products @ chunks[:, j]
+        scale = products.max(2)
+        live = scale > 0  # a row that is exactly 0 stays 0
+        np.divide(products, scale[..., None], out=products, where=live[..., None])
+        logs += np.log(scale, out=np.full_like(scale, -np.inf), where=live)
+    starts = np.empty((count, rows))
+    for c in range(count):
+        starts[c] = state
+        if exact[c]:
+            state = _advance(eng, state, span, lambda j: grid[c, j : j + 1])[1]
+        else:  # rescale by the largest row the state weighs, not by all
+            logw = np.log(state, out=np.full_like(state, -np.inf), where=state > 0)
+            logw += logs[c]
+            state = np.exp(logw - logw.max()) @ products[c]
+    conflicts = _advance(eng, starts, span, lambda j: grid[:, j])[0]
+    return conflicts.reshape(-1)[:size], state
 
 
 def _advance(eng, stack, steps, operand):
@@ -529,6 +560,12 @@ def _advance(eng, stack, steps, operand):
     return np.clip(log, 0.0, 1.0, out=log), stack
 
 
+def _products(eng, count, steps, operand):
+    """Values of ``count`` windows from the start row; step j takes ``operand(j)``."""
+    log = _advance(eng, eng.start.repeat(count, 0), steps, operand)[0]
+    return np.prod(np.subtract(1.0, log, out=log), axis=1)
+
+
 def _windows_fast(trace, model, window_len, stride):
     """The full pass, and the window values, a batch of windows a block.
 
@@ -536,33 +573,43 @@ def _windows_fast(trace, model, window_len, stride):
     of pending maps whose first map is record ``first``'s.  A window over
     an exact breach, a record whose rows all conflict totally (conflict
     and total columns equal), reads 1 there from any stack, so its value
-    is exactly 0; the others start on the start row and take W steps
-    together, each gathered by its first record, and are reduced to their
-    values at once.  The buffer then drops the maps before the next
-    window's start, never more than it holds, as a stride can skip whole
-    blocks.
+    is exactly 0.  Each block's breaches are flagged once, on arrival, and
+    ``seen[k]`` counts those before pending map k.  The other windows start
+    on the start row and take W steps together, each step a strided view
+    of the buffer when the batch holds no breach and otherwise gathered by
+    their first records, and are reduced to their values at once.  The
+    buffer then keeps a copy of the maps from the next window's start,
+    never more than it holds, as a stride can skip whole blocks.
     """
     eng = ContourEngine(model)
     n_windows = (len(trace) - window_len) // stride + 1
-    pending, first, opened, full, values = None, 0, 0, [], []
+    pending, seen, first, opened, full, values = None, np.zeros(1, int), 0, 0, [], []
     for maps, conflicts in _full_pass(eng, trace):
         full.append(conflicts)
+        breach = (maps[:, :, -2] == maps[:, :, -1]).all(1)
+        seen = np.concatenate((seen, seen[-1] + np.cumsum(breach)))
         pending = maps if pending is None else np.concatenate((pending, maps))
+        del maps
         ready = min(n_windows, (first + len(pending) - window_len) // stride + 1)
         if ready > opened:
             starts = np.arange(opened, ready) * stride - first
-            breach = (pending[:, :, -2] == pending[:, :, -1]).all(1)
-            seen = np.concatenate(([0], np.cumsum(breach)))
-            live = seen[starts + window_len] == seen[starts]
-            batch, firsts = np.zeros(len(starts)), starts[live]
-            if len(firsts):
-                stack = eng.start.repeat(len(firsts), 0)
-                log = _advance(eng, stack, window_len, lambda j: pending[firsts + j])[0]
-                batch[live] = np.prod(np.subtract(1.0, log, out=log), axis=1)
+            k = len(starts)
+            if seen[starts[-1] + window_len] == seen[starts[0]]:
+                s = starts[0]
+                batch = _products(
+                    eng, k, window_len, lambda j: pending[s + j :: stride][:k]
+                )
+            else:
+                live = seen[starts + window_len] == seen[starts]
+                batch, firsts = np.zeros(k), starts[live]
+                if len(firsts):
+                    batch[live] = _products(
+                        eng, len(firsts), window_len, lambda j: pending[firsts + j]
+                    )
             values.append(batch)
             opened = ready
         drop = min(opened * stride - first, len(pending))
-        pending, first = pending[drop:], first + drop
+        pending, seen, first = pending[drop:].copy(), seen[drop:], first + drop
     full = np.concatenate(full)
     resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS)
     if model.rule != "dempster":

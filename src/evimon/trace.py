@@ -197,7 +197,8 @@ def _read_header(reader, path) -> tuple[list[str], list, list]:
 
 def _parse_blocks(fh, path, header, in_cols, out_cols, read: int) -> list[np.ndarray]:
     """The non-empty blocks of (records x columns) rows after the header's
-    ``read`` lines: record 0's line, then ``_BLOCK_LINES`` lines at a time.
+    ``read`` lines: a line at a time up to record 0's, whose empty input
+    cells only the per-cell loop reads, then ``_BLOCK_LINES`` lines at a time.
 
     A block is read by ``np.loadtxt``, without comments (``3#x`` is no
     number), if it passes four guards: no line longer than the ``csv``
@@ -233,7 +234,7 @@ def _parse_blocks(fh, path, header, in_cols, out_cols, read: int) -> list[np.nda
         if len(block):
             blocks.append(block)
             done, last_ts = done + len(block), block[-1, 0]
-        size = _BLOCK_LINES
+        size = _BLOCK_LINES if done else 1
     return blocks
 
 

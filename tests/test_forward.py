@@ -485,6 +485,26 @@ def test_graded_near_total_conflict_agrees_with_reference():
 BLOCKS = (1, 2, 5, 16, 64)
 
 
+def with_rule(base, rule, prior=None):
+    """``base`` under ``rule``, and ``prior`` (vacuous if None)."""
+    from evimon.iohmm import EvIohmm
+
+    return EvIohmm(
+        base.frame, base.transitions, base.emissions, prior=prior, rule=rule,
+        input_variables=base.input_variables, output_variables=base.output_variables,
+    )
+
+
+def with_priors(base, rule):
+    """``base`` under ``rule``: with a vacuous prior, then with a prior of
+    four focal sets, one of them empty."""
+    n = base.frame.size
+    masses = np.zeros(1 << n)
+    masses[[0, 1, 0b110, (1 << n) - 1]] = [0.1, 0.2, 0.3, 0.4]
+    for prior in (None, MassFunction(base.frame, masses)):
+        yield with_rule(base, rule, prior)
+
+
 def set_block(monkeypatch, model, records_per_block):
     """Make the engine build its maps ``records_per_block`` at a time."""
     from evimon import forward
@@ -507,20 +527,8 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
     # the trace must agree with the reference: a buffer of pending maps
     # whose first record moves past the records read misplaces them.
     from evimon import bundled
-    from evimon.iohmm import EvIohmm
     from evimon.modelfile import parse_model
     from evimon.trace import read_trace
-
-    def with_priors(base):
-        n = base.frame.size
-        masses = np.zeros(1 << n)
-        masses[[0, 1, 0b110, (1 << n) - 1]] = [0.1, 0.2, 0.3, 0.4]
-        for prior in (None, MassFunction(base.frame, masses)):
-            yield EvIohmm(
-                base.frame, base.transitions, base.emissions, prior=prior, rule=rule,
-                input_variables=base.input_variables,
-                output_variables=base.output_variables,
-            )
 
     def block_lengths(model):
         for records_per_block in BLOCKS:
@@ -529,7 +537,7 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
         monkeypatch.undo()
 
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
-    for model in with_priors(parse_model(bundled.model_path("speed_limits"))):
+    for model in with_priors(parse_model(bundled.model_path("speed_limits")), rule):
         default = sliding_effectiveness(trace, model, 7, 2)
         ref = sliding_effectiveness(trace, model, 7, 2, engine="reference")
         for _ in block_lengths(model):
@@ -543,7 +551,7 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
     small = random_possibilistic_model(rng, n_states=3, rule=rule)
     short = random_trace(rng, 16)
     cases = [(2, 11), (1, 7), (3, 6), (8, 3), (len(short), 1)]
-    for model in with_priors(small):
+    for model in with_priors(small, rule):
         refs = {
             case: sliding_effectiveness(short, model, *case, engine="reference")
             for case in cases
@@ -554,6 +562,122 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
                 report = sliding_effectiveness(short, model, *case)
                 assert_reports_agree(report, ref)
                 assert_reports_agree(report, defaults[case], tol=1e-12)
+
+
+def concatenated_cuts(rule, rows, e):
+    """Rows of ``M_t``: the transfer, then 0, the conflict and 1, put
+    together by ``np.concatenate``.  The engine writes them in place; this
+    formulation is kept as their oracle."""
+
+    def increments(a):
+        return np.diff(a, axis=2, prepend=0.0)
+
+    order = (-e).argsort(axis=1)
+    e_sorted = np.take_along_axis(e, order, axis=1)
+    reach = np.maximum.accumulate(
+        np.take_along_axis(rows, order[:, None, :], axis=2), axis=2
+    )
+    strips = increments(reach)
+    area = strips @ e_sorted[:, :, None]
+    if rule == "dubois_prade":
+        ee = e[:, None, :]
+        left = np.stack([
+            (
+                increments(np.minimum(reach[:, i, None, :], rows[:, i, :, None]))
+                @ e_sorted[:, :, None]
+            )[..., 0]
+            for i in range(rows.shape[1])
+        ], axis=1)
+        below = strips @ np.minimum(e_sorted[:, :, None], ee)
+        both_empty = (1.0 - reach[:, :, -1:]) * (1.0 - e_sorted[:, None, :1])
+        transfer = rows * ee + (rows - left) + (ee - below) + both_empty
+    else:
+        transfer = rows * e[:, None, :]
+        if rule == "yager":
+            transfer += 1.0 - area
+    readout = (np.zeros_like(area), 1.0 - area, np.ones_like(area))
+    return np.concatenate((transfer, *readout), axis=2)
+
+
+def concatenated_maps(model, records):
+    """Every record's map, each block's built by ``concatenated_cuts``."""
+    from evimon.forward import ContourEngine
+    from evimon.trace import Trace
+
+    eng, n = ContourEngine(model), model.frame.size
+    trace = Trace.from_records(records)
+    blocks = []
+    for first in range(0, len(trace), eng._block):
+        block = trace[first : first + eng._block]
+        size, skip = len(block), int(first == 0)
+        inputs, outputs = eng._read(block, skip)
+        e = eng._emissions.values(outputs, size)
+        maps = np.ones((size, n + 1, n + 3))
+        arcs = eng._arcs.values(inputs, size - skip)
+        maps[skip:, :n] = concatenated_cuts(model.rule, arcs, e[skip:])
+        maps[:, n] = eng._masses @ concatenated_cuts(model.rule, eng._prior_rows, e)
+        blocks.append(maps)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
+    # the engine writes each block's maps in place, and under Dubois-Prade
+    # sums a row's terms in another order (a + b = b + a exactly); the maps
+    # must equal the concatenated formulation's bit for bit, with 3 and 11
+    # states, under a vacuous prior and one of four focal sets, at blocks
+    # of 1 and 7 records and at the default block
+    from evimon import bundled
+    from evimon.forward import ContourEngine
+    from evimon.modelfile import parse_model
+    from evimon.trace import read_trace
+
+    rng = np.random.default_rng(20)
+    speed = parse_model(bundled.model_path("speed_limits"))
+    cases = [
+        (random_possibilistic_model(rng, n_states=3), random_trace(rng, 40)),
+        (speed, read_trace(bundled.trace_path("speed_limits_mixed_600"))[150:270]),
+    ]
+    for base, records in cases:
+        for model in with_priors(base, rule):
+            for records_per_block in (1, 7, None):
+                if records_per_block:
+                    set_block(monkeypatch, model, records_per_block)
+                maps = np.concatenate(list(ContourEngine(model).sweep(records)))
+                assert maps.tobytes() == concatenated_maps(model, records).tobytes()
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("rule", ["dempster", "dubois_prade"])
+@pytest.mark.parametrize(
+    "name, scenario", [("ride_comfort", "mixed"), ("speed_limits", "comfort")]
+)
+def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
+    # a block's maps take (N + 1) x (N + 3) floats a record.  The block
+    # writes them in place, and frees its columns, values and scan arrays
+    # before the next one, so a pass over 2.5 blocks peaks under 6 times
+    # the bytes of one block's maps (3 and 11 states; it took 7.5 to 10.5
+    # times while each block's maps were concatenated and its arrays kept)
+    import tracemalloc
+
+    from evimon import bundled
+    from evimon.forward import ContourEngine
+    from evimon.generate import generate_trace
+    from evimon.modelfile import parse_model
+    from evimon.trace import Trace
+
+    model = with_rule(parse_model(bundled.model_path(name)), rule)
+    block, n = ContourEngine(model)._block, model.frame.size
+    records, _ = generate_trace(model, scenario, block * 5 // 2, 3)
+    trace = Trace.from_records(records)
+    sliding_effectiveness(trace, model, 10, 1)  # warm-up
+    tracemalloc.start()
+    try:
+        sliding_effectiveness(trace, model, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * block * (n + 1) * (n + 3) * 8
 
 
 def stepwise_conflicts(model, records):

@@ -272,8 +272,8 @@ def test_header_fault_is_located(tmp_path, case):
 
 
 def test_only_a_block_with_an_odd_line_is_read_cell_by_cell(tmp_path, small_blocks):
-    # blocks of lines 2 (blank), 3-6, 7-10 (blank line 8), 11-14, 15-18 (a
-    # quoted cell from line 18 over line 19), 20-23 and 24
+    # blocks of lines 2 (blank), 3 (record 0), 4-7, 8-11 (blank line 8),
+    # 12-15, 16-19 (a quoted cell from line 18 over line 19), 20-23 and 24
     rows = [f"{t},1,{t}\n" for t in range(20)]
     text = H + "\n" + "".join(rows[:5]) + "\n" + "".join(rows[5:14])
     text += '14,"1\n",14\n' + "".join(rows[15:])
@@ -284,15 +284,36 @@ def test_only_a_block_with_an_odd_line_is_read_cell_by_cell(tmp_path, small_bloc
     with mock.patch.object(trace, "_parse_cells", cells):
         with mock.patch.object(np, "loadtxt", loadtxt):
             t = read_trace(path)
-    # read cell by cell: the blocks after lines 1, 6 and 14, so loadtxt reads
-    # those of lines 3, 11, 20 and 24 (it sees every block after the blank one)
-    assert [c.args[7] for c in cells.call_args_list] == [1, 6, 14]
+    # read cell by cell: the blocks after lines 1, 7 and 15, so loadtxt reads
+    # those of lines 3, 4, 12, 20 and 24 (it sees every block after the blank one)
+    assert [c.args[7] for c in cells.call_args_list] == [1, 7, 15]
     assert [c.args[0][0] for c in loadtxt.call_args_list] == [
-        rows[0], rows[4], rows[7], rows[11], rows[15], rows[19]
+        rows[0], rows[1], rows[8], rows[12], rows[15], rows[19]
     ]
     table = np.column_stack([t.timestamps, t.inputs["u"], t.outputs["y"]])
     assert np.array_equal(table, both_parsers(path)[1])
     assert table[:, 0].tolist() == list(range(20))
+
+
+def test_a_blank_line_before_record_0_sends_one_line_cell_by_cell(tmp_path, small_blocks):
+    # record 0 may leave its input cells empty, which only the per-cell loop
+    # reads.  After a blank line, record 0's line is still a block of its
+    # own: the blocks are lines 2 (blank), 3 (record 0), 4-7 and 8-11, and
+    # each block read cell by cell is one line long.
+    rows = [f"{t},1,{t}\n" for t in range(1, 9)]
+    path = tmp_path / "t.csv"
+    path.write_text(H + "\n0,,0\n" + "".join(rows), encoding="utf-8")
+    cells = mock.Mock(wraps=trace._parse_cells)
+    loadtxt = mock.Mock(wraps=np.loadtxt)
+    with mock.patch.object(trace, "_parse_cells", cells):
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            t = read_trace(path)
+    # (lines before the block, lines in it)
+    assert [c.args[7:9] for c in cells.call_args_list] == [(1, 1), (2, 1)]
+    assert [c.args[0][0] for c in loadtxt.call_args_list] == ["0,,0\n", rows[0], rows[4]]
+    table = np.column_stack([t.timestamps, t.inputs["u"], t.outputs["y"]])
+    assert np.array_equal(table, both_parsers(path)[1], equal_nan=True)
+    assert table[:, 0].tolist() == list(range(9)) and np.isnan(table[0, 1])
 
 
 def not_utf8(records: int) -> bytes:
