@@ -17,7 +17,7 @@ from .errors import EvimonError, ParseError, TraceTooShort, ValidationError
 from .forward import sliding_effectiveness
 from .generate import SCENARIOS, generate_trace, manifest_lines
 from .modelfile import parse_model
-from .report import summary_dict, write_report_csv, write_summary_json
+from .report import summary_json, write_report_csv
 from .trace import read_trace, write_trace
 
 
@@ -67,10 +67,11 @@ def _cmd_eval(args) -> int:
     report = sliding_effectiveness(trace, model, args.window, args.stride)
     if args.out:
         write_report_csv(report, args.out)
+    summary = summary_json(report)  # once: a long trace's summary is megabytes
     if args.summary:
-        write_summary_json(report, args.summary)
-    summary = summary_dict(report)
-    print(json.dumps(summary, indent=2))
+        with open(args.summary, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(summary)
+    sys.stdout.write(summary)
     return 0
 
 

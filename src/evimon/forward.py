@@ -26,27 +26,28 @@ order, so a step whose weighted rows all conflict totally reads exactly
 
 Cost of the fast path.  What a step reads from the records alone is one
 map ``M_t`` per record, (N + 1) x (N + 3), the rule folded in so that a
-step is linear in the contour up to scale (see ``ContourEngine.sweep``).
+step is linear in the contour up to scale (see ``ContourEngine._maps``).
 The maps are computed a block of records at a time, each distinct
 constraint vector once per block over a view of the trace's columns
 (see ``trace.Trace``; records given one by one are read into columns
 once, on entry): O((N + F) * N) work per record for a prior of F focal
 sets, O((N + F) * N**2) under Dubois-Prade, and per block a number of
-numpy calls set by the model alone.  A block's maps are written in place
-into one array, and its columns, values and scan arrays are freed before
-the next block, so a pass holds a few times the bytes of one block's
-maps, which ``_BLOCK_CELLS`` bounds.  The full pass scans each block of B
-maps in C = ceil(B / L) chunks of L = isqrt(B) records (see ``_scan``):
-2L + C iterations of numpy calls per block, not B steps.  A chunk with a
-step whose Dempster reset its rows' conflicts do not settle, by a
-conservative test, is walked record by record.  A
-window over an exact breach, a record whose map conflicts totally on
-every row, is exactly 0 and never advances; the other windows a block
-makes ready advance together, offset by offset over a buffer of pending
-maps, W steps per block, and are reduced to their values at once, so no
-window keeps its W conflicts.  A step is O(N**2) per pass; with few
-states its small numpy calls, not the arithmetic, are the cost.  The
-report is arrays, and its row objects are built on request.
+numpy calls set by the model alone.  A pass writes each block's maps
+into one buffer, after the last W - 1 maps before it, and frees the
+block's columns, values and scan arrays before the next block, so it
+holds a few times the bytes of one block's maps, which ``_BLOCK_CELLS``
+bounds.  The full pass scans each block of B maps in place, in
+C = ceil(B / L) chunks of L = isqrt(B) records (see ``_scan``): 2L + C
+iterations of numpy calls per block, not B steps.  A chunk with a step
+whose Dempster reset its rows' conflicts do not settle, by a
+conservative test, is walked record by record.  A window over an exact
+breach, a record whose map conflicts totally on every row, is exactly 0
+and never advances; the other windows that end in a block advance
+together over the same buffer, W steps per block, and are reduced to
+their values at once, so no window keeps its W conflicts.  A step is
+O(N**2) per pass; with few states its small numpy calls, not the
+arithmetic, are the cost.  The report is arrays, and its row objects
+are built on request.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -223,7 +224,7 @@ class ContourEngine:
     and a stack of passes advances in one matrix product.
 
     Everything but that product depends on the records alone, so
-    :meth:`sweep` computes it ahead, a block of records at a time, with
+    :meth:`_maps` computes it ahead, a block of records at a time, with
     each distinct constraint vector compiled once and evaluated over a
     column of observations.  An engine holds no state of a trace.
     """
@@ -242,30 +243,22 @@ class ContourEngine:
         self._block = max(1, _BLOCK_CELLS // ((n + 3) * max(n + 1, len(focal))))
         self.start = np.eye(1, n + 1, n)
 
-    def sweep(self, trace: Trace | Sequence[TraceRecord]) -> Iterator[np.ndarray]:
-        """Per block of B records, the maps ``M_t`` (B x N + 1 x N + 3).
+    def _maps(self, block: Trace, skip, maps) -> None:
+        """Write the maps ``M_t`` of a block of records into ``maps`` (records x
+        N + 1 x N + 3); its columns and values are freed on return.
 
         A map's rows are the N arc rows from the previous record (ones at
         record 0, whose inputs gate nothing; no live pass weighs them) and
         the start row, the prior's crisp rows mixed by its masses, each laid
-        out as :meth:`_cuts` lays it out.  Records not given as a
-        :class:`Trace` are read into one first.
+        out as :meth:`_cuts` lays it out.
         """
-        trace = Trace.from_records(trace)
-        for first in range(0, len(trace), self._block):
-            yield self._maps(trace[first : first + self._block], int(first == 0))
-
-    def _maps(self, block: Trace, skip) -> np.ndarray:
-        """The maps of one block, whose columns and values are freed on return."""
         size, n = len(block), self._prior_rows.shape[2]
         inputs, outputs = self._read(block, skip)
         e = self._emissions.values(outputs, size)
-        maps = np.empty((size, n + 1, n + 3))
         maps[:skip] = 1.0
         self._cuts(self._arcs.values(inputs, size - skip), e[skip:], maps[skip:, :n])
         starts = np.empty((size, len(self._masses), n + 3))
         maps[:, n] = self._masses @ self._cuts(self._prior_rows, e, starts)
-        return maps
 
     def _read(self, block: Trace, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -465,6 +458,13 @@ class EffectivenessReport:
         )
 
 
+def windows_ending(first: int, stop: int, window_len: int, stride: int) -> range:
+    """The windows whose last record lies in records ``[first, stop)``, for
+    ``stop`` up to the trace's length: window k ends at ``k * stride + W - 1``."""
+    bounds = [max(0, -((window_len - 1 - t) // stride)) for t in (first, stop)]
+    return range(*bounds)
+
+
 def sliding_effectiveness(
     trace: Trace | Sequence[TraceRecord],
     model: EvIohmm,
@@ -497,18 +497,9 @@ def sliding_effectiveness(
     )
 
 
-def _full_pass(eng, trace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block, its maps and the conflicts of the pass over the whole trace
-    (see ``_scan``); a block's maps are not held while the next is swept."""
-    state = eng.start
-    for maps in eng.sweep(trace):
-        conflicts, state = _scan(eng, maps, state)
-        yield maps, conflicts
-        del maps
-
-
-def _scan(eng, maps, state) -> tuple[np.ndarray, np.ndarray]:
-    """Conflicts of a block's maps and the state after them, from ``state``.
+def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
+    """Conflicts of the first ``size`` maps and the state after them, from
+    ``state``; identity maps after them pad the last chunk.
 
     A chunked scan of ``A_t = M_t[:, :N + 1]``.  A step is ambiguous unless
     all its rows' conflicts lie eps/2 or more above Dempster's threshold,
@@ -518,18 +509,18 @@ def _scan(eng, maps, state) -> tuple[np.ndarray, np.ndarray]:
     chunk boundaries carries the state, record by record through a chunk
     with an ambiguous step; then all chunks advance from their starts.
     """
-    size, rows, cols = maps.shape
+    rows, cols = maps.shape[1:]
     span = math.isqrt(size)
     count = -(-size // span)
-    pad = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
-    padded = np.concatenate((maps, pad[None].repeat(count * span - size, 0)))
-    grid = padded.reshape(count, span, rows, cols)
-    chunks = grid[..., :rows].copy()
+    maps[size : count * span] = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
+    grid = maps[: count * span].reshape(count, span, rows, cols)
+    chunks = grid[..., :rows]
     exact = np.zeros(count, bool)
     if eng.rule == "dempster":
         margin = grid[..., -2] - (1.0 - _TOTAL_CONFLICT_EPS)
         always = margin.min(2) >= _TOTAL_CONFLICT_EPS / 2
-        chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
+        reset = 1.0 - np.eye(1, rows, rows - 1)
+        chunks = np.where(always[..., None, None], reset, chunks)
         exact = (~always & (margin.max(2) > -_TOTAL_CONFLICT_EPS / 2)).any(1)
     products, logs = np.eye(rows), np.zeros((count, rows))
     for j in range(span):
@@ -567,54 +558,54 @@ def _products(eng, count, steps, operand):
 
 
 def _windows_fast(trace, model, window_len, stride):
-    """The full pass, and the window values, a batch of windows a block.
+    """The full pass, and the window values, over one buffer of maps.
 
-    The windows whose last map a block brings form a batch, over a buffer
-    of pending maps whose first map is record ``first``'s.  A window over
-    an exact breach, a record whose rows all conflict totally (conflict
-    and total columns equal), reads 1 there from any stack, so its value
-    is exactly 0.  Each block's breaches are flagged once, on arrival, and
-    ``seen[k]`` counts those before pending map k.  The other windows start
-    on the start row and take W steps together, each step a strided view
-    of the buffer when the batch holds no breach and otherwise gathered by
-    their first records, and are reduced to their values at once.  The
-    buffer then keeps a copy of the maps from the next window's start,
-    never more than it holds, as a stride can skip whole blocks.
+    Each block's maps are written after the last W - 1 maps before it, and
+    scanned there.  The windows that end in the block start on the start
+    row and take W steps together over the buffer, each step a strided
+    view of it, or gathered by their first maps when a window holds an
+    exact breach: a record whose rows all conflict totally (conflict and
+    total columns equal) reads 1 there from any stack, so the window is 0.
+    The last W - 1 maps move to the front only once they shift: a window
+    as long as the trace moves none.
     """
     eng = ContourEngine(model)
-    n_windows = (len(trace) - window_len) // stride + 1
-    pending, seen, first, opened, full, values = None, np.zeros(1, int), 0, 0, [], []
-    for maps, conflicts in _full_pass(eng, trace):
-        full.append(conflicts)
-        breach = (maps[:, :, -2] == maps[:, :, -1]).all(1)
-        seen = np.concatenate((seen, seen[-1] + np.cumsum(breach)))
-        pending = maps if pending is None else np.concatenate((pending, maps))
-        del maps
-        ready = min(n_windows, (first + len(pending) - window_len) // stride + 1)
-        if ready > opened:
-            starts = np.arange(opened, ready) * stride - first
-            k = len(starts)
-            if seen[starts[-1] + window_len] == seen[starts[0]]:
-                s = starts[0]
-                batch = _products(
-                    eng, k, window_len, lambda j: pending[s + j :: stride][:k]
-                )
-            else:
-                live = seen[starts + window_len] == seen[starts]
-                batch, firsts = np.zeros(k), starts[live]
-                if len(firsts):
-                    batch[live] = _products(
-                        eng, len(firsts), window_len, lambda j: pending[firsts + j]
-                    )
-            values.append(batch)
-            opened = ready
-        drop = min(opened * stride - first, len(pending))
-        pending, seen, first = pending[drop:].copy(), seen[drop:], first + drop
-    full = np.concatenate(full)
-    resets = np.flatnonzero(full >= 1.0 - _TOTAL_CONFLICT_EPS)
+    n, tail = model.frame.size, window_len - 1
+    room = min(len(trace), tail + eng._block) + math.isqrt(eng._block)
+    maps = np.empty((room, n + 1, n + 3))
+    flat, width = maps.reshape(-1), (n + 1) * (n + 3)
+    conflicts, values, state, held = np.empty(len(trace)), [], eng.start, 0
+    for first in range(0, len(trace), eng._block):
+        if held > tail:  # a flat view moves in place; 3-d views overlap by a copy
+            flat[: tail * width] = flat[(held - tail) * width : held * width]
+            held = tail
+        block = trace[first : first + eng._block]
+        size, base = len(block), first - held
+        eng._maps(block, int(first == 0), maps[held : held + size])
+        conflicts[first : first + size], state = _scan(eng, maps[held:], size, state)
+        held += size
+        ends = windows_ending(first, first + size, window_len, stride)
+        if not ends:
+            continue
+        k, s = len(ends), ends.start * stride - base
+        starts = np.arange(k) * stride  # from map s
+        span = maps[s : s + starts[-1] + window_len]
+        seen = np.zeros(len(span) + 1, int)  # breaches before each map
+        np.cumsum((span[:, :, -2] == span[:, :, -1]).all(1), out=seen[1:])
+        live = seen[starts + window_len] == seen[starts]
+        batch = np.zeros(k)
+        if live.all():
+            batch = _products(eng, k, window_len, lambda j: maps[s + j :: stride][:k])
+        elif live.any():
+            firsts = s + starts[live]
+            batch[live] = _products(
+                eng, len(firsts), window_len, lambda j: maps[firsts + j]
+            )
+        values.append(batch)
+    resets = np.flatnonzero(conflicts >= 1.0 - _TOTAL_CONFLICT_EPS)
     if model.rule != "dempster":
         resets = resets[:0]
-    return full, resets, np.concatenate(values)
+    return conflicts, resets, np.concatenate(values)
 
 
 def _windows_reference(trace, model, window_len, stride):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .belief import _TOTAL_CONFLICT_EPS
 from .errors import GenerationError
-from .forward import ContourEngine, _full_pass
+from .forward import sliding_effectiveness
 from .iohmm import EvIohmm
 from .possibility import ConstraintVector, PossibilityDistribution
 from .trace import Trace
@@ -223,8 +223,8 @@ def generate_trace(
 
 def _verify_zones(model, trace, zones) -> None:
     """Check the constructed classes against the actual forward pass."""
-    # the full pass alone, a block at a time: a report would add megabytes
-    conflicts = (c for _, cs in _full_pass(ContourEngine(model), trace) for c in cs)
+    # one window of one record: the full pass alone
+    conflicts = sliding_effectiveness(trace, model, 1, len(trace)).conflicts
     for t, (zone, conflict) in enumerate(zip(zones, conflicts)):
         ok = (
             conflict <= _TOTAL_CONFLICT_EPS

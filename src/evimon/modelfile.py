@@ -216,8 +216,8 @@ def _parse_prior(raw, frame: Frame, source: str) -> MassFunction | None:
         labels = [s for s in str(key).split(",") if s]
         try:
             mask = frame.mask_of(labels)
-        except KeyError as exc:
-            raise ValidationError(f"{source}:prior: {exc}") from exc
+        except KeyError as exc:  # whose str() quotes its message
+            raise ValidationError(f"{source}:prior: {exc.args[0]}") from exc
         arr[mask] += _number(value, f"mass of {key!r}", f"{source}:prior")
     try:
         return MassFunction(frame, arr)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 
-from .forward import EffectivenessReport
+from .forward import EffectivenessReport, windows_ending
 from .trace import _BLOCK_LINES
 
 # timestamp, conflict, step effectiveness (1 - conflict), window cell
@@ -22,9 +22,9 @@ def write_report_csv(report: EffectivenessReport, path) -> None:
         for first in range(0, len(report.conflicts), _BLOCK_LINES):
             conflicts = report.conflicts[first : first + _BLOCK_LINES]
             window = [""] * len(conflicts)
-            k = max(0, -((w - 1 - first) // stride))  # first window to end here
-            ends = slice(w - 1 + k * stride - first, None, stride)
-            values = report.values[k : k + len(window[ends])].tolist()
+            here = windows_ending(first, first + len(conflicts), w, stride)
+            ends = slice(w - 1 + here.start * stride - first, None, stride)
+            values = report.values[here.start : here.stop].tolist()
             window[ends] = ["%.12g" % v for v in values]
             rows = zip(
                 report.timestamps[first : first + _BLOCK_LINES].tolist(),
@@ -52,7 +52,11 @@ def summary_dict(report: EffectivenessReport) -> dict:
     }
 
 
+def summary_json(report: EffectivenessReport) -> str:
+    """The summary as the JSON text that :func:`write_summary_json` writes."""
+    return json.dumps(summary_dict(report), indent=2) + "\n"
+
+
 def write_summary_json(report: EffectivenessReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary_dict(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(summary_json(report))

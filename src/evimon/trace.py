@@ -146,7 +146,9 @@ def read_trace(path) -> Trace:
             ) from None
     if not blocks:
         raise ParseError("trace file has no records", str(path))
-    columns = np.ascontiguousarray(np.concatenate(blocks).T)
+    # one copy, into C-ordered rows: a concatenation along axis 1 is F-ordered
+    columns = np.empty((blocks[0].shape[1], sum(map(len, blocks))))
+    np.concatenate([b.T for b in blocks], axis=1, out=columns)
     return Trace(
         columns[0],
         {name: columns[pos] for pos, name in in_cols},

@@ -599,6 +599,18 @@ def concatenated_cuts(rule, rows, e):
     return np.concatenate((transfer, *readout), axis=2)
 
 
+def engine_maps(eng, records):
+    """Every record's map, each block's written by ``ContourEngine._maps``."""
+    from evimon.trace import Trace
+
+    trace, n = Trace.from_records(records), eng._prior_rows.shape[2]
+    maps = np.empty((len(trace), n + 1, n + 3))
+    for first in range(0, len(trace), eng._block):
+        block = trace[first : first + eng._block]
+        eng._maps(block, int(first == 0), maps[first : first + len(block)])
+    return maps
+
+
 def concatenated_maps(model, records):
     """Every record's map, each block's built by ``concatenated_cuts``."""
     from evimon.forward import ContourEngine
@@ -643,7 +655,7 @@ def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
             for records_per_block in (1, 7, None):
                 if records_per_block:
                     set_block(monkeypatch, model, records_per_block)
-                maps = np.concatenate(list(ContourEngine(model).sweep(records)))
+                maps = engine_maps(ContourEngine(model), records)
                 assert maps.tobytes() == concatenated_maps(model, records).tobytes()
                 monkeypatch.undo()
 
@@ -686,10 +698,9 @@ def stepwise_conflicts(model, records):
 
     eng = ContourEngine(model)
     state, conflicts = eng.start, []
-    for maps in eng.sweep(records):
-        for operand in maps:
-            conflict, state = eng.step(state, operand)
-            conflicts.append(float(conflict[0]))
+    for operand in engine_maps(eng, records):
+        conflict, state = eng.step(state, operand)
+        conflicts.append(float(conflict[0]))
     return np.clip(conflicts, 0.0, 1.0)
 
 
@@ -789,7 +800,7 @@ def stepwise_windows(model, records, window_len, stride):
     from evimon.forward import ContourEngine
 
     eng = ContourEngine(model)
-    maps = np.concatenate(list(eng.sweep(records)))
+    maps = engine_maps(eng, records)
     values = []
     for first in range(0, len(records) - window_len + 1, stride):
         state, log = eng.start, []

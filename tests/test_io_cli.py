@@ -186,6 +186,108 @@ def test_parse_model_structural_errors(tmp_path):
         assert err.value.location == f"{path}:{location}"
 
 
+def _del(*keys):
+    *keys, last = keys
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        del doc[last]
+
+    return mutate
+
+
+_ARC = "transitions[0] (arc x1->x1)"
+
+# name: (mutation of the luminosity document, error, its message with source "m")
+MALFORMED_DOCUMENTS = {
+    "missing-field": (_del("states"), ParseError, "m:$: missing field 'states'"),
+    "constraint-number": (
+        _set("transitions", 0, "constraints", 0, 3),
+        ParseError,
+        f"m:{_ARC}.constraints[0]: constraint must be an object",
+    ),
+    "missing-kind": (
+        _del("transitions", 0, "constraints", 0, "kind"),
+        ParseError,
+        f"m:{_ARC}.constraints[0]: constraint is missing 'kind'",
+    ),
+    "params-number": (
+        _set("transitions", 0, "constraints", 0, "params", 1.0),
+        ParseError,
+        f"m:{_ARC}.constraints[0].params: params must be a list",
+    ),
+    "missing-variable": (
+        _del("transitions", 0, "constraints", 0, "variable"),
+        ParseError,
+        f"m:{_ARC}.constraints[0]: constraint is missing 'variable'",
+    ),
+    "no-constraints": (
+        _set("transitions", 0, "constraints", []),
+        ParseError,
+        f"m:{_ARC}: constraints must be a non-empty list",
+    ),
+    "transition-string": (
+        _set("transitions", 0, "x1->x1"),
+        ParseError,
+        "m:transitions[0]: transition must be an object",
+    ),
+    "emission-number": (
+        _set("emissions", 0, 1),
+        ParseError,
+        "m:emissions[0]: emission must be an object",
+    ),
+    "emission-state": (
+        _set("emissions", 0, "state", "x3"),
+        ValidationError,
+        "m:emissions[0]: unknown state 'x3'",
+    ),
+    "emission-twice": (
+        _set("emissions", 1, "state", "x1"),
+        ValidationError,
+        "m:emissions[1]: duplicate emission for x1",
+    ),
+    "emission-missing": (
+        _del("emissions", 1),
+        ValidationError,
+        "m: states without emissions: ['x2']",
+    ),
+    "prior-list": (
+        _set("prior", [1.0]), ParseError, "m:prior: prior must map subsets to masses"
+    ),
+    "prior-state": (
+        _set("prior", {"x3": 1.0}), ValidationError, "m:prior: unknown state 'x3'"
+    ),
+}
+
+
+def test_model_from_dict_names_each_malformed_field():
+    with pytest.raises(ParseError) as err:
+        model_from_dict([], source="m")
+    assert str(err.value) == "m: model document must be a JSON object"
+    for mutate, error, message in MALFORMED_DOCUMENTS.values():
+        doc = model_to_dict(luminosity_model())
+        mutate(doc)
+        with pytest.raises(error) as err:
+            model_from_dict(doc, source="m")
+        assert str(err.value) == message
+
+
+def test_model_roundtrip_with_forbidden_arc_and_constant_entry(tmp_path):
+    # a forbidden arc and a constant entry, which names no variable, are
+    # written and read back as they were given
+    doc = model_to_dict(luminosity_model())
+    doc["transitions"][1] = {"from": "x1", "to": "x2", "forbidden": True}
+    doc["emissions"][0]["constraints"].append({"kind": "constant", "params": [0.5]})
+    model = model_from_dict(doc)
+    assert model.transitions[0][1].is_forbidden
+    assert model.emissions[0].entries[1].variable == "_"
+    assert model_to_dict(model) == doc
+    path = tmp_path / "m.json"
+    write_model(model, path)
+    assert model_to_dict(parse_model(path)) == doc
+
+
 def test_model_from_dict_rejects_unknown_state_and_duplicate_arc():
     doc = model_to_dict(luminosity_model())
     doc["transitions"][0]["to"] = "nope"
@@ -640,6 +742,7 @@ def test_cli_eval_bundled(tmp_path):
     payload = json.loads(summary.read_text())
     assert payload["overall_effectiveness"] == 1.0
     assert out.exists()
+    assert proc.stdout == summary.read_text()
 
 
 def test_cli_eval_missing_column_is_exit_1(tmp_path):

@@ -293,6 +293,9 @@ def test_only_a_block_with_an_odd_line_is_read_cell_by_cell(tmp_path, small_bloc
     table = np.column_stack([t.timestamps, t.inputs["u"], t.outputs["y"]])
     assert np.array_equal(table, both_parsers(path)[1])
     assert table[:, 0].tolist() == list(range(20))
+    # the blocks are copied once, into C-ordered rows
+    for column in (t.timestamps, t.inputs["u"], t.outputs["y"]):
+        assert column.flags.c_contiguous
 
 
 def test_a_blank_line_before_record_0_sends_one_line_cell_by_cell(tmp_path, small_blocks):
