@@ -31,19 +31,20 @@ The maps are computed a block of records at a time, each distinct
 constraint vector once per block over a view of the trace's columns
 (see ``trace.Trace``; records given one by one are read into columns
 once, on entry): O((N + F) * N) work per record for a prior of F focal
-sets, O((N + F) * N**2) under Dubois-Prade, and per block a number of
-numpy calls set by the model alone.  A pass writes each block's maps
-into one buffer, after the last W - 1 maps before it, and frees the
-block's columns, values and scan arrays before the next block, so it
-holds a few times the bytes of one block's maps, which ``_BLOCK_CELLS``
-bounds.  The full pass scans each block of B maps in place, in
-C = ceil(B / L) chunks of L = isqrt(B) records (see ``_scan``): 2L + C
-iterations of numpy calls per block, not B steps.  A chunk with a step
-whose Dempster reset its rows' conflicts do not settle, by a
-conservative test, is walked record by record.  A window over an exact
-breach, a record whose map conflicts totally on every row, is exactly 0
-and never advances; the other windows that end in a block advance
-together over the same buffer, W steps per block, and are reduced to
+sets, O((N + F) * N**2) under Dubois-Prade, and per half block a number
+of numpy calls set by the model alone.  A pass writes each block's maps
+into one buffer, after the last W - 1 maps before it, half a block at a
+time, into arrays it overwrites in place, and frees a half's columns,
+values and cuts before the next half and the block's scan arrays before
+the next block, so it holds under 2.5 times the bytes of one block's
+maps, which ``_BLOCK_CELLS`` bounds.  The full pass scans each block of
+B maps in place, in C = ceil(B / L) chunks of L = isqrt(B) records (see
+``_scan``): 2L + C iterations of numpy calls per block, not B steps.
+A chunk with a step whose Dempster reset its rows' conflicts do not
+settle, by a conservative test, is walked record by record.  A window
+over an exact breach, a record whose map conflicts totally on every row,
+is exactly 0 and never advances; the other windows that end in a block
+advance together over the same buffer, W steps per block, and write
 their values at once, so no window keeps its W conflicts.  A step is
 O(N**2) per pass; with few states its small numpy calls, not the
 arithmetic, are the cost.  The report is arrays, and its row objects
@@ -80,10 +81,11 @@ from .possibility import ConstraintVector, compile_constraint_vector
 from .trace import Trace, TraceRecord
 
 _CONTOUR_EPS = 1e-15
-# cells of the largest array of a block of records (records x rows x N + 3,
-# rows = N + 1 or focal sets): a pass holds a few such arrays at once, and
-# windows take W steps a block
-_BLOCK_CELLS = 1 << 15
+# cells of a block's maps (records x rows x N + 3, rows = N + 1 or focal
+# sets): a pass holds one such buffer, plus W - 1 maps, and arrays of half
+# a block at a time.  The scan's numpy calls per record fall as one over
+# the square root of a block, and windows take W steps a block
+_BLOCK_CELLS = 1 << 16
 
 
 def _clip_unit(value: float) -> float:
@@ -245,20 +247,26 @@ class ContourEngine:
 
     def _maps(self, block: Trace, skip, maps) -> None:
         """Write the maps ``M_t`` of a block of records into ``maps`` (records x
-        N + 1 x N + 3); its columns and values are freed on return.
+        N + 1 x N + 3), in two halves: a half's columns, values and cuts are
+        freed before the next.
 
         A map's rows are the N arc rows from the previous record (ones at
         record 0, whose inputs gate nothing; no live pass weighs them) and
         the start row, the prior's crisp rows mixed by its masses, each laid
         out as :meth:`_cuts` lays it out.
         """
-        size, n = len(block), self._prior_rows.shape[2]
-        inputs, outputs = self._read(block, skip)
-        e = self._emissions.values(outputs, size)
-        maps[:skip] = 1.0
-        self._cuts(self._arcs.values(inputs, size - skip), e[skip:], maps[skip:, :n])
-        starts = np.empty((size, len(self._masses), n + 3))
-        maps[:, n] = self._masses @ self._cuts(self._prior_rows, e, starts)
+        n, half = self._prior_rows.shape[2], -(-len(block) // 2)
+        for first in range(0, len(block), half):
+            part, out = block[first : first + half], maps[first : first + half]
+            size, skip = len(part), skip if first == 0 else 0
+            inputs, outputs = self._read(part, skip)
+            e = self._emissions.values(outputs, size)
+            starts = np.empty((size, len(self._masses), n + 3))
+            self._cuts(self._prior_rows.repeat(size, 0), e, starts)
+            np.matmul(self._masses, starts, out=out[:, n])
+            del starts
+            out[:skip, :n] = 1.0
+            self._cuts(self._arcs.values(inputs, size - skip), e[skip:], out[skip:, :n])
 
     def _read(self, block: Trace, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -278,43 +286,42 @@ class ContourEngine:
             self._model.emission_possibilities(rec.outputs)
         raise AssertionError("a block failed to read, but none of its records")
 
-    def _cuts(self, rows, e, out) -> np.ndarray:
-        """Write the rows of ``M_t`` of a block of rows into ``out``; return it.
+    def _cuts(self, rows, e, out) -> None:
+        """Write the rows of ``M_t`` of a block of rows into ``out``.
 
-        ``rows`` is (records x rows x N) consonant contours, or (1 x rows x
-        N) rows every record shares, and ``out`` (records x rows x N + 3).
-        Taken in the descending order of ``e``, rectangle k adds the
-        alpha-strip ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so
-        ``strips @ e_sorted`` is each row's union area, and one minus it
-        the row's conflict.  A row holds what it sends to the next contour
-        under the rule, so that a step is one linear map (``P_i * e`` under
-        Dempster, the same plus the conflict on every state under Yager, the
+        ``rows`` is (records x rows x N) consonant contours, which are
+        overwritten, and ``out`` (records x rows x N + 3).  Taken in the
+        descending order of ``e``, rectangle k adds the alpha-strip
+        ``(max_{l<k} P_il, P_ik]`` at height ``e_k``, so ``strips @
+        e_sorted`` is each row's union area, and one minus it the row's
+        conflict.  A row holds what it sends to the next contour under the
+        rule, so that a step is one linear map (``P_i * e`` under Dempster,
+        the same plus the conflict on every state under Yager, the
         Dubois-Prade contour of the row), then 0 (nothing flows back to the
         start row), its conflict and 1.
         """
         n = e.shape[1]
-        order = (-e).argsort(axis=1)
-        e_sorted = np.take_along_axis(e, order, axis=1)
-        reach = _gather(rows, order)
-        for k in range(1, n):  # a running max, a column at a time
-            np.maximum(reach[..., k - 1], reach[..., k], out=reach[..., k])
-        strips = _increments(reach)
-        np.subtract(1.0, (strips @ e_sorted[:, :, None])[..., 0], out=out[..., n + 1])
         out[..., n] = 0.0
         out[..., n + 2] = 1.0
-        transfer = out[..., :n]
+        if self.rule == "dubois_prade":  # held where the transfer goes last
+            reach = out[..., :n]
+        else:  # the transfer first, then the rows are sorted in place
+            np.multiply(rows, e[:, None, :], out=out[..., :n])
+            reach = rows
+        order = (-e).argsort(axis=1)
+        e_sorted = np.take_along_axis(e, order, axis=1)
+        _gather(rows, order, reach)
+        del order
+        for k in range(1, n):  # a running max, a column at a time
+            np.maximum(reach[..., k - 1], reach[..., k], out=reach[..., k])
         if self.rule == "dubois_prade":
-            # the union area below b = e_j first, so that the strips are freed
-            heights = np.minimum(e_sorted[:, :, None], e[:, None, :])
-            np.matmul(strips, heights, out=transfer)
-            del strips, heights
-            _dubois_prade_rows(rows, e, e_sorted, reach, transfer)
-            return out
-        del reach, strips
-        np.multiply(rows, e[:, None, :], out=transfer)
+            _dubois_prade_rows(rows, e, e_sorted, out)
+            return
+        for k in range(n - 1, 0, -1):  # then its strips, from the last
+            np.subtract(reach[..., k], reach[..., k - 1], out=reach[..., k])
+        np.subtract(1.0, (reach @ e_sorted[:, :, None])[..., 0], out=out[..., n + 1])
         if self.rule == "yager":
-            transfer += out[..., n + 1, None]
-        return out
+            out[..., :n] += out[..., n + 1, None]
 
     def step(self, stack, maps) -> tuple[np.ndarray, np.ndarray]:
         """Conflicts and next stack of a stack of passes.
@@ -354,42 +361,51 @@ class _Curves:
         return np.take(distinct, self._slots, axis=1)
 
 
-def _increments(a: np.ndarray) -> np.ndarray:
-    """Steps along the last axis, the first one taken from 0."""
-    out = a.copy()
-    out[..., 1:] -= a[..., :-1]
-    return out
-
-
-def _gather(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``rows`` (records or 1 x rows x N) with each record's last axis taken
-    in its ``order`` (records x N), by one flat index: about twice as fast
-    as ``take_along_axis``, whose fancy index takes an array per axis."""
+def _gather(rows: np.ndarray, order: np.ndarray, out: np.ndarray) -> None:
+    """Write ``rows`` (records x rows x N) with each record's last axis
+    taken in its ``order`` (records x N) into ``out``, which may be
+    ``rows``: a row at a time, by one flat index of (records x N)."""
     count, width, n = rows.shape
-    flat = np.arange(0, count * width * n, n).reshape(count, width, 1)
-    return np.take(rows, order[:, None, :] + flat)
+    index = order + np.arange(0, count * width * n, width * n)[:, None]
+    flat = rows.reshape(-1)
+    for i in range(width):
+        out[:, i] = np.take(flat[i * n :], index)
 
 
-def _dubois_prade_rows(rows, e, e_sorted, reach, out) -> None:
-    """Turn ``out``, each row's union area below ``b = e_j``, into the
-    contour each row leaves once every disjoint pair of cuts moves to its union.
+def _dubois_prade_rows(rows, e, e_sorted, out) -> None:
+    """Write each row's Dubois-Prade contour, the contour it leaves once
+    every disjoint pair of cuts moves to its union, and its conflict into
+    ``out``, whose transfer columns hold the running max of each sorted row.
 
     ``D_ij = P_ij e_j + Pr(disjoint, a <= P_ij) + Pr(disjoint, b <= e_j)
     + (1 - max_k P_ik)(1 - max e)``; the last term is the pair of empty
-    cuts, whose union is empty and moves to the whole frame.  Every
-    operand carries a leading axis of records, or of 1.
+    cuts, whose union is empty and moves to the whole frame.  Each row of
+    ``rows`` becomes its first two terms, and each running max its strips.
     """
-    e = e[:, None, :]
-    np.subtract(e, out, out=out)
-    # union area left of a = P_ij, a row at a time to bound the memory; a
-    # row's P_ij e_j + (P_ij - left) then joins the sum, in either order
+    n = e.shape[1]
+    reach = out[..., :n]
+    both_empty = (1.0 - reach[:, :, -1:]) * (1.0 - e_sorted[:, None, :1])
+    # the union area left of a = P_ij, a row at a time to bound the memory.
+    # Strip k of the cut at P_ij, the increment of min(reach_k, P_ij), is
+    # P_ij - reach_(k-1) clipped to [0, strip k], with reach_(-1) = 0
+    before, strips = np.zeros((len(e), n)), np.empty((len(e), n))
     for i in range(rows.shape[1]):
-        cut = np.minimum(reach[:, i, None, :], rows[:, i, :, None])
-        left = (_increments(cut) @ e_sorted[:, :, None])[..., 0]
-        own = np.subtract(rows[:, i], left, out=left)
-        own += rows[:, i] * e[:, 0]
-        out[:, i] += own
-    out += (1.0 - reach[:, :, -1:]) * (1.0 - e_sorted[:, None, :1])
+        before[:, 1:] = reach[:, i, :-1]
+        np.subtract(reach[:, i], before, out=strips)
+        cut = np.subtract(rows[:, i, :, None], before[:, None, :])
+        np.clip(cut, 0.0, strips[:, None, :], out=cut)
+        left = (cut @ e_sorted[:, :, None])[..., 0]
+        del cut
+        # P_ij e_j + (P_ij - left) joins the sum, in either order
+        np.subtract(rows[:, i], left, out=left)
+        left += rows[:, i] * e
+        rows[:, i], reach[:, i] = left, strips
+    np.subtract(1.0, (reach @ e_sorted[:, :, None])[..., 0], out=out[..., n + 1])
+    # the union area below b = e_j, Pr(disjoint, b <= e_j) = e_j - below
+    below = reach @ np.minimum(e_sorted[:, :, None], e[:, None, :])
+    np.subtract(e[:, None, :], below, out=below)
+    np.add(rows, below, out=reach)
+    reach += both_empty
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +531,20 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     maps[size : count * span] = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
     grid = maps[: count * span].reshape(count, span, rows, cols)
     chunks = grid[..., :rows]
-    exact = np.zeros(count, bool)
+    exact, always = np.zeros(count, bool), np.zeros((count, span), bool)
     if eng.rule == "dempster":
-        margin = grid[..., -2] - (1.0 - _TOTAL_CONFLICT_EPS)
-        always = margin.min(2) >= _TOTAL_CONFLICT_EPS / 2
-        reset = 1.0 - np.eye(1, rows, rows - 1)
-        chunks = np.where(always[..., None, None], reset, chunks)
-        exact = (~always & (margin.max(2) > -_TOTAL_CONFLICT_EPS / 2)).any(1)
+        # rounding is monotone: the least margin is the least conflict's
+        conflicts, threshold = grid[..., -2], 1.0 - _TOTAL_CONFLICT_EPS
+        always = conflicts.min(2) - threshold >= _TOTAL_CONFLICT_EPS / 2
+        near = conflicts.max(2) - threshold > -_TOTAL_CONFLICT_EPS / 2
+        exact = (~always & near).any(1)
+    reset = 1.0 - np.eye(1, rows, rows - 1)
     products, logs = np.eye(rows), np.zeros((count, rows))
-    for j in range(span):
-        products = products @ chunks[:, j]
+    for j, resets in enumerate(always.any(0).tolist()):
+        step = chunks[:, j]
+        if resets:  # a reset step's rows, one chunk step at a time
+            step = np.where(always[:, j, None, None], reset, step)
+        products = products @ step
         scale = products.max(2)
         live = scale > 0  # a row that is exactly 0 stays 0
         np.divide(products, scale[..., None], out=products, where=live[..., None])
@@ -574,7 +594,8 @@ def _windows_fast(trace, model, window_len, stride):
     room = min(len(trace), tail + eng._block) + math.isqrt(eng._block)
     maps = np.empty((room, n + 1, n + 3))
     flat, width = maps.reshape(-1), (n + 1) * (n + 3)
-    conflicts, values, state, held = np.empty(len(trace)), [], eng.start, 0
+    conflicts, state, held = np.empty(len(trace)), eng.start, 0
+    values = np.zeros(len(windows_ending(0, len(trace), window_len, stride)))
     for first in range(0, len(trace), eng._block):
         if held > tail:  # a flat view moves in place; 3-d views overlap by a copy
             flat[: tail * width] = flat[(held - tail) * width : held * width]
@@ -593,19 +614,20 @@ def _windows_fast(trace, model, window_len, stride):
         seen = np.zeros(len(span) + 1, int)  # breaches before each map
         np.cumsum((span[:, :, -2] == span[:, :, -1]).all(1), out=seen[1:])
         live = seen[starts + window_len] == seen[starts]
-        batch = np.zeros(k)
+        batch = values[ends.start : ends.stop]
         if live.all():
-            batch = _products(eng, k, window_len, lambda j: maps[s + j :: stride][:k])
+            batch[:] = _products(
+                eng, k, window_len, lambda j: maps[s + j :: stride][:k]
+            )
         elif live.any():
             firsts = s + starts[live]
             batch[live] = _products(
                 eng, len(firsts), window_len, lambda j: maps[firsts + j]
             )
-        values.append(batch)
     resets = np.flatnonzero(conflicts >= 1.0 - _TOTAL_CONFLICT_EPS)
     if model.rule != "dempster":
         resets = resets[:0]
-    return conflicts, resets, np.concatenate(values)
+    return conflicts, resets, values
 
 
 def _windows_reference(trace, model, window_len, stride):

@@ -22,6 +22,7 @@ from .possibility import (
     ConstraintVector,
     PossibilityDistribution,
 )
+from .trace import _undecodable_at
 
 FORMAT_VERSION = 1
 
@@ -35,6 +36,12 @@ def parse_model(path) -> EvIohmm:
         raise ParseError(f"cannot read model file: {exc}", str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"model file is not UTF-8 ({exc.reason})", _undecodable_at(path)
+        ) from None
+    except RecursionError:  # json.load recurses once per nested array or object
+        raise ParseError("model document is nested too deeply", str(path)) from None
     return model_from_dict(doc, source=str(path))
 
 

@@ -632,13 +632,33 @@ def concatenated_maps(model, records):
     return np.concatenate(blocks)
 
 
+def tied_records(rng, n, length):
+    """Records of ``graded_model(n, ...)`` whose emissions tie: each puts
+    two or three states at grade 1.0, two or three at 0.0 and the rest in
+    between; its arcs are graded, 0.0 or 1.0."""
+    records = []
+    for t in range(length):
+        ones, zeros = rng.integers(2, 4, size=2)
+        emission = rng.uniform(0.05, 1.0, n)
+        emission[:ones], emission[ones : ones + zeros] = 1.0, 0.0
+        arcs = rng.choice([0.0, 1.0, 0.5], (n, n)) * (rng.random((n, n)) < 0.8)
+        arcs[rng.random((n, n)) < 0.5] = rng.uniform(0.05, 1.0)
+        records.append(graded_record(t, arcs, rng.permutation(emission)))
+    return records
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
-    # the engine writes each block's maps in place, and under Dubois-Prade
-    # sums a row's terms in another order (a + b = b + a exactly); the maps
-    # must equal the concatenated formulation's bit for bit, with 3 and 11
-    # states, under a vacuous prior and one of four focal sets, at blocks
-    # of 1 and 7 records and at the default block
+    # the engine writes each block's maps in place, half a block at a
+    # time, sorts Dempster's and Yager's rows in place after their
+    # transfer, and under Dubois-Prade builds each cut's strips by clipping
+    # and sums a row's terms in another order (a + b = b + a exactly); the
+    # maps must equal the concatenated formulation's bit for bit, with 3, 8
+    # and 11 states, under a vacuous prior and one of four focal sets, at
+    # blocks of 1 and 7 records and at the default block.  The 8-state
+    # records tie their emissions at 1.0 and at 0.0, where the descending
+    # order of each record's grades is not unique, and span a default block
+    # and a half
     from evimon import bundled
     from evimon.forward import ContourEngine
     from evimon.modelfile import parse_model
@@ -646,17 +666,21 @@ def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
 
     rng = np.random.default_rng(20)
     speed = parse_model(bundled.model_path("speed_limits"))
+    tied = graded_model(8, rule)
     cases = [
         (random_possibilistic_model(rng, n_states=3), random_trace(rng, 40)),
         (speed, read_trace(bundled.trace_path("speed_limits_mixed_600"))[150:270]),
+        (tied, tied_records(rng, 8, ContourEngine(tied)._block * 3 // 2)),
     ]
     for base, records in cases:
         for model in with_priors(base, rule):
             for records_per_block in (1, 7, None):
-                if records_per_block:
+                held = records
+                if records_per_block:  # at most 120 records, a block at a time
                     set_block(monkeypatch, model, records_per_block)
-                maps = engine_maps(ContourEngine(model), records)
-                assert maps.tobytes() == concatenated_maps(model, records).tobytes()
+                    held = records[:120]
+                maps = engine_maps(ContourEngine(model), held)
+                assert maps.tobytes() == concatenated_maps(model, held).tobytes()
                 monkeypatch.undo()
 
 
@@ -666,10 +690,14 @@ def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
 )
 def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
     # a block's maps take (N + 1) x (N + 3) floats a record.  The block
-    # writes them in place, and frees its columns, values and scan arrays
-    # before the next one, so a pass over 2.5 blocks peaks under 6 times
-    # the bytes of one block's maps (3 and 11 states; it took 7.5 to 10.5
-    # times while each block's maps were concatenated and its arrays kept)
+    # writes them in place, half a block at a time, and frees its columns,
+    # values and scan arrays before the next one, so a pass over 2.5
+    # blocks peaks under 3 times the bytes of one block's maps: 1.89 and
+    # 2.41 times with 3 states, 1.78 and 2.43 with 11, under Dempster and
+    # Dubois-Prade.  It took 3.6 to 5.1 times while each block built its
+    # maps whole, with the sorted rows, their running max and their strips
+    # each an array of its own, and 7.5 to 10.5 times while each block's
+    # maps were concatenated and its arrays kept
     import tracemalloc
 
     from evimon import bundled
@@ -689,7 +717,28 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * block * (n + 1) * (n + 3) * 8
+    assert peak <= 3 * block * (n + 1) * (n + 3) * 8
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_pass_reads_no_memory_it_did_not_write(rule):
+    # the engine writes each block's maps into a buffer from np.empty and
+    # overwrites its arrays in place: a cell read before it is written
+    # would carry whatever the allocator left there.  Two passes over the
+    # same trace, the second after arrays of odd sizes filled with NaN are
+    # freed and others are still held, must write the same bytes
+    from evimon import bundled
+    from evimon.modelfile import parse_model
+    from evimon.trace import read_trace
+
+    trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))
+    for model in with_priors(parse_model(bundled.model_path("speed_limits")), rule):
+        first = sliding_effectiveness(trace, model, 50, 3)
+        held = [np.full(size, np.nan) for size in (1, 7, 333, 4099, 65537, 300007)]
+        del held[::2]
+        second = sliding_effectiveness(trace, model, 50, 3)
+        for name in ("conflicts", "values", "resets"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
 
 def stepwise_conflicts(model, records):

@@ -671,6 +671,33 @@ def test_cli_eval_hostile_model_exits_1_without_traceback(tmp_path, name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["nested", "latin-1"])
+def test_cli_eval_unreadable_model_document_is_located(tmp_path, name):
+    # a document nested past Python's recursion limit stops json.load; a
+    # byte that is not UTF-8 is located at its line, as in a trace
+    text = bundled.model_path("luminosity").read_bytes()
+    if name == "nested":
+        data, where = b"[" * 100_000 + b"]" * 100_000, ""
+        message = "model document is nested too deeply"
+    else:
+        data = text.replace(b'"luminosity"', b'"lumin\xe9osity"', 1)
+        line = text[: text.index(b'"luminosity"')].count(b"\n") + 1
+        where = f":{line}"
+        message = "model file is not UTF-8 (invalid continuation byte)"
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    proc = run_cli(
+        "eval",
+        "--model", str(path),
+        "--trace", str(bundled.trace_path("luminosity_comfort_30")),
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.startswith(f"error: {path}{where}: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "command, flag, target",
     [
