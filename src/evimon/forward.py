@@ -530,21 +530,18 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     count = -(-size // span)
     maps[size : count * span] = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
     grid = maps[: count * span].reshape(count, span, rows, cols)
-    chunks = grid[..., :rows]
-    exact, always = np.zeros(count, bool), np.zeros((count, span), bool)
+    chunks, exact = grid[..., :rows], np.zeros(count, bool)
     if eng.rule == "dempster":
         # rounding is monotone: the least margin is the least conflict's
         conflicts, threshold = grid[..., -2], 1.0 - _TOTAL_CONFLICT_EPS
         always = conflicts.min(2) - threshold >= _TOTAL_CONFLICT_EPS / 2
         near = conflicts.max(2) - threshold > -_TOTAL_CONFLICT_EPS / 2
         exact = (~always & near).any(1)
-    reset = 1.0 - np.eye(1, rows, rows - 1)
+        reset = 1.0 - np.eye(1, rows, rows - 1)
+        chunks = np.where(always[..., None, None], reset, chunks)
     products, logs = np.eye(rows), np.zeros((count, rows))
-    for j, resets in enumerate(always.any(0).tolist()):
-        step = chunks[:, j]
-        if resets:  # a reset step's rows, one chunk step at a time
-            step = np.where(always[:, j, None, None], reset, step)
-        products = products @ step
+    for j in range(span):
+        products = products @ chunks[:, j]
         scale = products.max(2)
         live = scale > 0  # a row that is exactly 0 stays 0
         np.divide(products, scale[..., None], out=products, where=live[..., None])

@@ -87,6 +87,10 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
     if not isinstance(name, str):
         raise ParseError(f"name must be a string, got {name!r}", f"{source}:name")
     states = names("states")
+    for k, state in enumerate(states):
+        if "," in state:  # which a prior key cannot name
+            where = f"{source}:states[{k}]"
+            raise ParseError(f"state name must not contain ',', got {state!r}", where)
     inputs = names("inputs")
     outputs = names("outputs")
     try:

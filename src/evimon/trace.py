@@ -216,7 +216,7 @@ def _parse_blocks(fh, path, header, in_cols, out_cols, read: int) -> list[np.nda
     while lines := list(itertools.islice(fh, size)):
         block = no_rows
         # a blank line fails the block; a block of them would warn
-        if lines[0].strip() and not _exceeds_field_limit(lines):
+        if lines[0].strip() and max(map(len, lines)) <= csv.field_size_limit():
             try:
                 block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             except ValueError:
@@ -238,20 +238,6 @@ def _parse_blocks(fh, path, header, in_cols, out_cols, read: int) -> list[np.nda
             done, last_ts = done + len(block), block[-1, 0]
         size = _BLOCK_LINES if done else 1
     return blocks
-
-
-def _exceeds_field_limit(lines: list[str]) -> bool:
-    """Whether a line is longer than the ``csv`` field limit L.
-
-    The lines are measured only if some aligned stretch of L // 2
-    characters holds no ``\n``, as every line longer than L spans one.
-    """
-    limit = csv.field_size_limit()
-    text, half = "".join(lines), max(1, limit // 2)
-    stretches = range(0, len(text) - half + 1, half)
-    if all(text.find("\n", a, a + half) >= 0 for a in stretches):
-        return False
-    return max(map(len, lines)) > limit
 
 
 def _parse_cells(

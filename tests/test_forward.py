@@ -692,12 +692,13 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
     # a block's maps take (N + 1) x (N + 3) floats a record.  The block
     # writes them in place, half a block at a time, and frees its columns,
     # values and scan arrays before the next one, so a pass over 2.5
-    # blocks peaks under 3 times the bytes of one block's maps: 1.89 and
-    # 2.41 times with 3 states, 1.78 and 2.43 with 11, under Dempster and
-    # Dubois-Prade.  It took 3.6 to 5.1 times while each block built its
-    # maps whole, with the sorted rows, their running max and their strips
-    # each an array of its own, and 7.5 to 10.5 times while each block's
-    # maps were concatenated and its arrays kept
+    # blocks peaks under 3 times the bytes of one block's maps: 2.30 and
+    # 2.48 times with 3 states, 2.28 and 2.44 with 11, under Dempster and
+    # Dubois-Prade, where Dempster's scan copies the block's transition
+    # columns to put its reset rows in.  It took 3.6 to 5.1 times while
+    # each block built its maps whole, with the sorted rows, their running
+    # max and their strips each an array of its own, and 7.5 to 10.5 times
+    # while each block's maps were concatenated and its arrays kept
     import tracemalloc
 
     from evimon import bundled
@@ -721,24 +722,43 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_a_pass_reads_no_memory_it_did_not_write(rule):
+def test_a_pass_reads_no_memory_it_did_not_write(rule, monkeypatch):
     # the engine writes each block's maps into a buffer from np.empty and
     # overwrites its arrays in place: a cell read before it is written
-    # would carry whatever the allocator left there.  Two passes over the
-    # same trace, the second after arrays of odd sizes filled with NaN are
-    # freed and others are still held, must write the same bytes
+    # would carry whatever the allocator left there.  A second pass whose
+    # np.empty fills floats with NaN and integers with their largest value
+    # must write the bytes of the first, at blocks of 1 and 7 records and
+    # at the default block, with windows that cross blocks (W above a
+    # block) and that skip them (stride above a block)
     from evimon import bundled
+    from evimon.forward import ContourEngine
     from evimon.modelfile import parse_model
     from evimon.trace import read_trace
 
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan if out.dtype.kind == "f" else np.iinfo(out.dtype).max)
+        return out
+
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))
     for model in with_priors(parse_model(bundled.model_path("speed_limits")), rule):
-        first = sliding_effectiveness(trace, model, 50, 3)
-        held = [np.full(size, np.nan) for size in (1, 7, 333, 4099, 65537, 300007)]
-        del held[::2]
-        second = sliding_effectiveness(trace, model, 50, 3)
-        for name in ("conflicts", "values", "resets"):
-            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        for records_per_block in (1, 7, None):
+            held = trace
+            if records_per_block:  # 120 records around the breach at 450-452
+                set_block(monkeypatch, model, records_per_block)
+                held = trace[400:520]
+            block = ContourEngine(model)._block
+            for shape in ((50, 3), (block + 3, 2), (3, block + 2)):
+                first = sliding_effectiveness(held, model, *shape)
+                with monkeypatch.context() as poison:
+                    poison.setattr(np, "empty", poisoned)
+                    second = sliding_effectiveness(held, model, *shape)
+                for name in ("conflicts", "values", "resets"):
+                    written = getattr(first, name), getattr(second, name)
+                    assert written[0].tobytes() == written[1].tobytes()
+            monkeypatch.undo()
 
 
 def stepwise_conflicts(model, records):

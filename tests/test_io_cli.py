@@ -119,6 +119,8 @@ def _set(*keys_and_value):
 # name: (mutation of the luminosity document, located field)
 HOSTILE_DOCUMENTS = {
     "state-name": (_set("states", [["x1"], ["x2"]]), "states[0]"),
+    # a prior key separates states by ',', so none could name this one
+    "state-comma": (_set("states", 1, "x1,x2"), "states[1]"),
     "input-name": (_set("inputs", [["pres"]]), "inputs[0]"),
     "output-name": (_set("outputs", ["lum", 3]), "outputs[1]"),
     "variable": (

@@ -162,6 +162,13 @@ ACCEPTED = {
         H + "0,1,1\n" + "\n" * 4 + "1,2,3\n",
         [(0.0, {"u": 1.0}, {"y": 1.0}), (1.0, {"u": 2.0}, {"y": 3.0})],
     ),
+    # line 7 is longer than the csv field limit, but none of its padded
+    # cells is: its block goes to the per-cell loop, which reads it
+    "line-longer-than-the-field-limit": (
+        BLOCK + "5,{pad}2,{pad}3\n".format(pad=" " * (csv.field_size_limit() // 2)),
+        [(float(t), {"u": 1.0}, {"y": 1.0}) for t in range(5)]
+        + [(5.0, {"u": 2.0}, {"y": 3.0})],
+    ),
 }
 
 # (text, line or None, message): each fails in the header, or for the lack of one
