@@ -519,7 +519,7 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
 
     A chunked scan of ``A_t = M_t[:, :N + 1]``.  A step is ambiguous unless
     all its rows' conflicts lie eps/2 or more above Dempster's threshold,
-    where it resets for every state (``A_t`` becomes rows ``[1...1, 0]``),
+    where it resets for every state (rows ``[1...1, 0]`` overwrite ``A_t``),
     or all as far below.  The chunks' products are taken together, each
     row rescaled to a max of 1 and its log scale kept; a walk over the
     chunk boundaries carries the state, record by record through a chunk
@@ -537,8 +537,9 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
         always = conflicts.min(2) - threshold >= _TOTAL_CONFLICT_EPS / 2
         near = conflicts.max(2) - threshold > -_TOTAL_CONFLICT_EPS / 2
         exact = (~always & near).any(1)
-        reset = 1.0 - np.eye(1, rows, rows - 1)
-        chunks = np.where(always[..., None, None], reset, chunks)
+        # in place: later reads go through ``eng.step``, which resets there
+        # anyway, and the windows' breach test reads only the last two columns
+        chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
     products, logs = np.eye(rows), np.zeros((count, rows))
     for j in range(span):
         products = products @ chunks[:, j]

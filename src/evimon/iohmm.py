@@ -11,12 +11,12 @@ categorical.
 
 The all-crisp reduction is also provided: with every curve crisp, a
 trace plus an expected state sequence either passes or fails exactly as
-a unit test would.
+a unit test would, decided for one sequence or for the best of all by
+one linear pass over the states a passing prefix reaches.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -214,32 +214,28 @@ def deterministic_test(
             f"{len(expected_states)} expected states for {len(trace)} records"
         )
     idx = [model.frame.index(s) for s in expected_states]
-    emission = model.emission_possibilities(trace[0].outputs)[idx[0]]
-    if emission != 1.0:
-        return 0
-    labels = model.frame.labels
-    for t in range(1, len(trace)):
-        arc = model.transitions[idx[t - 1]][idx[t]]
-        if (
-            evaluate_constraint_vector(
-                arc,
-                trace[t].inputs,
-                context=f"transition {labels[idx[t-1]]}->{labels[idx[t]]}",
-            )
-            != 1.0
-        ):
-            return 0
-        if model.emission_possibilities(trace[t].outputs)[idx[t]] != 1.0:
-            return 0
-    return 1
+    return _crisp_pass(model, trace, np.eye(model.frame.size, dtype=bool)[idx])
 
 
-def best_deterministic_test(
-    model: EvIohmm, trace: Sequence[TraceRecord]
-) -> int:
+def best_deterministic_test(model: EvIohmm, trace: Sequence[TraceRecord]) -> int:
     """Deterministic test maximized over all expected state sequences."""
-    labels = model.frame.labels
-    for seq in itertools.product(labels, repeat=len(trace)):
-        if deterministic_test(model, seq, trace):
-            return 1
-    return 0
+    if not model.is_crisp:
+        raise ValidationError("deterministic test needs an all-crisp model")
+    return _crisp_pass(model, trace, np.ones((len(trace), model.frame.size), bool))
+
+
+def _crisp_pass(model: EvIohmm, trace, allowed: np.ndarray) -> int:
+    """1 iff some state sequence allowed by ``allowed`` (records x N) passes.
+
+    Keeps the states a passing prefix reaches: those whose emission is
+    exactly 1, entered after record 0 by an arc of possibility exactly 1
+    from a state kept on the record before, and stops once none is kept.
+    """
+    kept = allowed[0] & (model.emission_possibilities(trace[0].outputs) == 1.0)
+    for t in range(1, len(trace)):
+        if not kept.any():
+            return 0
+        arcs = model.transition_possibilities(trace[t].inputs) == 1.0
+        emitted = model.emission_possibilities(trace[t].outputs) == 1.0
+        kept = arcs[kept].any(0) & emitted & allowed[t]
+    return int(kept.any())

@@ -1,11 +1,12 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here works on plain dicts mapping frozensets of labels to
-floats and loops over the whole powerset, sharing no code with the
-library's bitmask tables.
+The belief oracles work on plain dicts mapping frozensets of labels to
+floats and loop over the whole powerset, sharing no code with the
+library's bitmask tables.  The crisp-test oracle enumerates every state
+sequence.
 """
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 
 def powerset(labels):
@@ -103,3 +104,21 @@ def random_mass_dict(rng, labels, *, allow_empty=True, max_focals=None):
     weights = rng.random(k)
     weights = weights / weights.sum()
     return {subsets[int(i)]: float(w) for i, w in zip(chosen, weights)}
+
+
+def brute_max_crisp_test(model, records):
+    """Pass/fail test maximized over expected state sequences by brute force."""
+    n = model.frame.size
+    emission_ok = [model.emission_possibilities(r.outputs) == 1.0 for r in records]
+    arc_ok = [
+        model.transition_possibilities(r.inputs) == 1.0 for r in records[1:]
+    ]
+    for seq in product(range(n), repeat=len(records)):
+        if not emission_ok[0][seq[0]]:
+            continue
+        if all(
+            arc_ok[t - 1][seq[t - 1], seq[t]] and emission_ok[t][seq[t]]
+            for t in range(1, len(records))
+        ):
+            return 1
+    return 0

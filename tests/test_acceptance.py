@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
 Every tolerance and runtime budget is asserted here.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -26,7 +25,11 @@ from evimon.belief import (
 )
 from evimon.forward import effectiveness, run_forward, sliding_effectiveness
 from evimon.generate import generate_trace
-from evimon.iohmm import build_transition_rows, deterministic_test
+from evimon.iohmm import (
+    best_deterministic_test,
+    build_transition_rows,
+    deterministic_test,
+)
 from evimon.modelfile import parse_model
 from evimon.trace import read_trace
 
@@ -39,6 +42,7 @@ from model_builders import (
     random_crisp_trace,
 )
 from oracles import (
+    brute_max_crisp_test,
     dicts_close,
     mass_dict,
     naive_commonality,
@@ -157,24 +161,6 @@ def test_criterion_3_bayesian_reduction(capsys):
 # 4. crisp-reduction equivalence
 # ---------------------------------------------------------------------------
 
-def brute_max_crisp_test(model, records):
-    """Pass/fail test maximized over expected state sequences by brute force."""
-    n = model.frame.size
-    emission_ok = [model.emission_possibilities(r.outputs) == 1.0 for r in records]
-    arc_ok = [
-        model.transition_possibilities(r.inputs) == 1.0 for r in records[1:]
-    ]
-    for seq in itertools.product(range(n), repeat=len(records)):
-        if not emission_ok[0][seq[0]]:
-            continue
-        if all(
-            arc_ok[t - 1][seq[t - 1], seq[t]] and emission_ok[t][seq[t]]
-            for t in range(1, len(records))
-        ):
-            return 1
-    return 0
-
-
 def test_criterion_4_crisp_reduction(capsys):
     rng = np.random.default_rng(4044)
     start = time.perf_counter()
@@ -187,6 +173,7 @@ def test_criterion_4_crisp_reduction(capsys):
         assert eff in (0.0, 1.0)
         oracle = brute_max_crisp_test(model, records)
         assert eff == float(oracle)
+        assert best_deterministic_test(model, records) == oracle
         pass_count += oracle
         if trial % 29 == 0:
             # tie the indicator oracle back to the boxed pass/fail operation

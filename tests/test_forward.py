@@ -54,6 +54,8 @@ from model_builders import (
     random_possibilistic_model,
     random_trace,
 )
+from oracles import brute_max_crisp_test
+
 TOL = 1e-9
 RULES = ("dempster", "yager", "dubois_prade")
 
@@ -692,13 +694,14 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
     # a block's maps take (N + 1) x (N + 3) floats a record.  The block
     # writes them in place, half a block at a time, and frees its columns,
     # values and scan arrays before the next one, so a pass over 2.5
-    # blocks peaks under 3 times the bytes of one block's maps: 2.30 and
-    # 2.48 times with 3 states, 2.28 and 2.44 with 11, under Dempster and
-    # Dubois-Prade, where Dempster's scan copies the block's transition
-    # columns to put its reset rows in.  It took 3.6 to 5.1 times while
-    # each block built its maps whole, with the sorted rows, their running
-    # max and their strips each an array of its own, and 7.5 to 10.5 times
-    # while each block's maps were concatenated and its arrays kept
+    # blocks peaks under 3 times the bytes of one block's maps: 1.91 and
+    # 2.48 times with 3 states, 1.79 and 2.44 with 11, under Dempster and
+    # Dubois-Prade (Dempster took 2.30 and 2.28 while its scan copied the
+    # block's transition columns to put its reset rows in).  It took 3.6
+    # to 5.1 times while each block built its maps whole, with the sorted
+    # rows, their running max and their strips each an array of its own,
+    # and 7.5 to 10.5 times while each block's maps were concatenated and
+    # its arrays kept
     import tracemalloc
 
     from evimon import bundled
@@ -1178,6 +1181,15 @@ def test_deterministic_test_examples():
         deterministic_test(model, ["x1"], trace)
     with pytest.raises(ValidationError):
         deterministic_test(luminosity_model(), ["x1", "x1"], trace)
+    # in this order: a model not all crisp, a length, then a state
+    with pytest.raises(ValidationError):
+        deterministic_test(luminosity_model(), ["x9"], trace)
+    with pytest.raises(ValidationError):
+        best_deterministic_test(luminosity_model(), trace)
+    with pytest.raises(LengthMismatch):
+        deterministic_test(model, ["x9"], trace)
+    with pytest.raises(KeyError):
+        deterministic_test(model, ["x1", "x9"], trace)
 
 
 def test_crisp_reduction_mini():
@@ -1190,3 +1202,53 @@ def test_crisp_reduction_mini():
         eff = effectiveness(state.conflict_log)
         assert eff in (0.0, 1.0)
         assert eff == float(best_deterministic_test(model, records))
+        assert best_deterministic_test(model, records) == brute_max_crisp_test(
+            model, records
+        )
+
+
+@pytest.mark.parametrize("scenario", ["comfort", "breach", "mixed"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crisp_windows_are_the_deterministic_test_at_length(scenario, seed):
+    # with every curve crisp, a window's value is 1 exactly when some state
+    # sequence passes its records: the fast path checked without the
+    # reference, over 285 windows of a 2000-record trace
+    from evimon import bundled
+    from evimon.generate import generate_trace
+    from evimon.modelfile import parse_model
+
+    model = parse_model(bundled.model_path("luminosity_crisp"))
+    records, _ = generate_trace(model, scenario, 2000, seed)
+    report = sliding_effectiveness(records, model, 10, 7)
+    assert len(report.values) == 285
+    expected = [
+        float(best_deterministic_test(model, records[s : s + 10]))
+        for s in range(0, 1991, 7)
+    ]
+    assert report.values.tolist() == expected
+    assert report.overall == best_deterministic_test(model, records)
+    assert (0.0 in expected) == (scenario != "comfort")
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize(
+    "name, scenario",
+    [("speed_limits", "breach"), ("ride_comfort", "mixed"), ("luminosity", "mixed")],
+)
+def test_relabelling_the_states_changes_no_result(name, scenario, rule):
+    # the states' order in a model document is a labelling: permuting it
+    # moves the rounding of tied rows at most, and no reset
+    from evimon import bundled
+    from evimon.generate import generate_trace
+    from evimon.modelfile import model_from_dict, model_to_dict, parse_model
+
+    doc = model_to_dict(parse_model(bundled.model_path(name)))
+    doc["normalization"] = rule
+    model = model_from_dict(doc)
+    records, _ = generate_trace(model, scenario, 3000, 4)
+    doc["states"] = doc["states"][1:] + doc["states"][:1]  # moves every state
+    relabelled = model_from_dict(doc)
+    got, want = (sliding_effectiveness(records, m, 10, 3) for m in (relabelled, model))
+    np.testing.assert_allclose(got.conflicts, want.conflicts, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+    assert got.resets.tolist() == want.resets.tolist()
