@@ -18,7 +18,7 @@ class TotalConflict(EvimonError):
 
 
 class AllZeroLikelihood(EvimonError):
-    """Every singleton likelihood is zero; no commonality can be built."""
+    """Every singleton likelihood is zero; there is no maximum to rescale by."""
 
 
 class MissingVariable(EvimonError):

@@ -63,9 +63,7 @@ import numpy as np
 from .belief import (
     _TOTAL_CONFLICT_EPS,
     MassFunction,
-    SetFunction,
     combine_conjunctive,
-    commonality_to_mass,
     mass_to_commonality,
     normalize,
     vacuous,
@@ -118,13 +116,15 @@ def conditioning_weights(prior: MassFunction) -> np.ndarray:
 
 
 def predict(prior: MassFunction, rows: ConditionalTransitionBBAs) -> MassFunction:
-    """Commonality-space mixture of conditional rows under the prior's weights."""
-    frame = rows.frame
+    """Mixture of the conditional rows' masses under the prior's weights.
+
+    Mixing is linear, so this is also the mixture of their commonalities.
+    """
     weights = conditioning_weights(prior)
-    q_hat = np.zeros(frame.n_subsets)
+    masses = np.zeros(rows.frame.n_subsets)
     for mask in np.flatnonzero(weights):
-        q_hat += weights[mask] * mass_to_commonality(rows.row(int(mask))).values
-    return commonality_to_mass(SetFunction(frame, "commonality", q_hat))
+        masses += weights[mask] * rows.row(int(mask)).masses
+    return MassFunction(rows.frame, masses)
 
 
 # ---------------------------------------------------------------------------

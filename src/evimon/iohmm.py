@@ -30,7 +30,7 @@ from .belief import (
     combine_disjunctive,
     vacuous,
 )
-from .errors import LengthMismatch, ValidationError
+from .errors import EmptyLog, LengthMismatch, ValidationError
 from .possibility import ConstraintVector, evaluate_constraint_vector, \
     singleton_possibilities_to_bba
 from .trace import TraceRecord
@@ -231,6 +231,8 @@ def _crisp_pass(model: EvIohmm, trace, allowed: np.ndarray) -> int:
     exactly 1, entered after record 0 by an arc of possibility exactly 1
     from a state kept on the record before, and stops once none is kept.
     """
+    if len(trace) == 0:
+        raise EmptyLog("a deterministic test of an empty trace is undefined")
     kept = allowed[0] & (model.emission_possibilities(trace[0].outputs) == 1.0)
     for t in range(1, len(trace)):
         if not kept.any():

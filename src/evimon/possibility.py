@@ -7,11 +7,11 @@ is 0.  Ramps and trapezoids encode graded tolerances, the crisp kinds
 encode hard zone boundaries exactly (no degenerate ramps), and
 ``constant`` pins a fixed possibility (0 marks a forbidden transition).
 
-Per-singleton possibilities become a consonant BBA through the max rule:
-the plausibility of a subset is the best possibility among its members,
-and the empty set ends up carrying one minus the best overall
-possibility.  Per-singleton likelihoods instead multiply into a
-commonality table after rescaling by their maximum.
+Per-singleton possibilities become a consonant BBA whose focal sets are
+the nested cuts of the sorted possibilities, the empty set carrying one
+minus the best of them.  Per-singleton likelihoods, rescaled by their
+maximum, become the separable BBA in which each state is in the set
+with its likelihood, independently of the others.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .belief import Frame, MassFunction, SetFunction, plausibility_to_mass, commonality_to_mass
+from .belief import Frame, MassFunction
 from .errors import AllZeroLikelihood, MissingVariable
 
 _PARAM_COUNT = {
@@ -300,39 +300,35 @@ def compile_constraint_vector(
     return evaluate_columns
 
 
-def _possibility_pl_table(frame: Frame, poss: Sequence[float]) -> np.ndarray:
-    """pl over every subset: best possibility among members, 0 for the empty set."""
-    poss = np.asarray(poss, dtype=float)
-    if poss.shape != (frame.size,):
-        raise ValueError(
-            f"expected {frame.size} singleton possibilities, got shape {poss.shape}"
-        )
-    pl = np.zeros(frame.n_subsets)
-    for i in range(frame.size):
-        v = pl.reshape(-1, 2, 1 << i)
-        np.maximum(v[:, 1, :], poss[i], out=v[:, 1, :])
-    return pl
-
-
 def singleton_possibilities_to_bba(frame: Frame, poss: Sequence[float]) -> MassFunction:
     """Consonant BBA whose singleton plausibilities are the given possibilities.
 
-    Subset plausibility is the max over members; the table then inverts
-    to masses, leaving 1 minus the best possibility on the empty set.
+    Its focal sets are the nested cuts: with the possibilities sorted
+    descending, the k best states carry pi(k) - pi(k + 1) (pi(N + 1) = 0)
+    and the empty set carries 1 - pi(1).
     """
     poss = [float(p) for p in poss]
     if any(not 0.0 <= p <= 1.0 for p in poss):
         raise ValueError(f"possibilities must lie in [0, 1], got {poss}")
-    pl = _possibility_pl_table(frame, poss)
-    return plausibility_to_mass(SetFunction(frame, "plausibility", pl))
+    pi = np.asarray(poss)
+    if pi.shape != (frame.size,):
+        raise ValueError(
+            f"expected {frame.size} singleton possibilities, got shape {pi.shape}"
+        )
+    order = np.argsort(-pi)
+    levels = np.append(pi[order], 0.0)
+    masses = np.zeros(frame.n_subsets)
+    masses[np.cumsum(1 << order)] = levels[:-1] - levels[1:]  # distinct cuts
+    masses[0] = 1.0 - levels[0]
+    return MassFunction(frame, masses)
 
 
 def singleton_likelihoods_to_bba(frame: Frame, likelihoods: Sequence[float]) -> MassFunction:
-    """BBA whose commonality is the product of rescaled member likelihoods.
+    """Separable BBA m(A) = prod_{i in A} L[i] * prod_{j not in A} (1 - L[j]).
 
-    Raw likelihoods (e.g. density values) are divided by their maximum so
-    the product table is a valid commonality; the result is the separable
-    BBA m(A) = prod_{i in A} L[i] * prod_{j not in A} (1 - L[j]).
+    Raw likelihoods (e.g. density values) are first divided by their
+    maximum, so that the commonality of a subset is the product of its
+    members' rescaled likelihoods.
     """
     lik = np.asarray([float(v) for v in likelihoods], dtype=float)
     if lik.shape != (frame.size,):
@@ -345,11 +341,12 @@ def singleton_likelihoods_to_bba(frame: Frame, likelihoods: Sequence[float]) -> 
     if top <= 0.0:
         raise AllZeroLikelihood("every singleton likelihood is zero")
     scaled = lik / top
-    q = np.ones(frame.n_subsets)
+    masses = np.ones(frame.n_subsets)
     for i in range(frame.size):
-        v = q.reshape(-1, 2, 1 << i)
+        v = masses.reshape(-1, 2, 1 << i)
+        v[:, 0, :] *= 1.0 - scaled[i]
         v[:, 1, :] *= scaled[i]
-    return commonality_to_mass(SetFunction(frame, "commonality", q))
+    return MassFunction(frame, masses)
 
 
 def normal_likelihood(value: float, mean: float, stddev: float) -> float:

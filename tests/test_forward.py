@@ -54,7 +54,7 @@ from model_builders import (
     random_possibilistic_model,
     random_trace,
 )
-from oracles import brute_max_crisp_test
+from oracles import brute_max_crisp_test, exact_sliding
 
 TOL = 1e-9
 RULES = ("dempster", "yager", "dubois_prade")
@@ -406,11 +406,10 @@ def graded_cases(draw):
     n = draw(st.integers(1, 8))
     # up to 24 records: the full pass scans chunks of isqrt(length) records
     length = draw(st.integers(1, 24))
-    # no grade in (0, 0.05): the reference scores near-total conflict, but
-    # its mass-space sums lose digits there (gaps up to 1.7e-10 against the
-    # contour engine were seen with grades of 1e-8 to 1e-4), too close to
-    # the 1e-9 tolerance; near-total conflict is pinned by the exact cases
-    # below instead
+    # no grade in (0, 0.05): with grades of 1e-6, K = 1 - 1e-6 * 1e-6 lands
+    # on Dempster's reset threshold 1 - 1e-12, where the last bit of K
+    # decides the reset and the engines, which round differently, can
+    # disagree.  Near-total conflict is pinned by the exact oracle below
     grade = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 1.0))
     cells = draw(hnp.arrays(np.float64, (length, n * n + n), elements=grade))
     prior = None
@@ -440,35 +439,75 @@ def test_contour_engine_matches_reference(case):
     assert_engines_agree(*case)
 
 
-def test_dempster_reset_means_conflict_within_1e12_of_one():
-    # K is one minus the area of the union of the rectangles [0, P_ik] x
-    # [0, e_k]; a step resets to total ignorance iff K >= 1 - 1e-12.
-    # Powers of two keep the reference's mass-space arithmetic exact this
-    # close to K = 1.
-    model = graded_model(2, "dempster")
+TINY, SMALL = 2.0**-44, 2.0**-36  # 1 - TINY >= 1 - 1e-13, 1 - SMALL <= 1 - 1e-11
+
+
+def near_reset_records():
+    """Two states' records whose conflicts are 1, 1 - TINY and 1 - SMALL:
+    powers of two keep the reference's mass-space arithmetic exact this
+    close to K = 1."""
     ones = [[1, 1], [1, 1]]
-    tiny = 2.0**-44  # 1 - tiny >= 1 - 1e-13
-    small = 2.0**-36  # 1 - small <= 1 - 1e-11
-    records = [
+    return [
         graded_record(0, ones, [1.0, 0.5]),
         graded_record(1, [[0, 0], [0, 0]], [1.0, 1.0]),  # K == 1
-        graded_record(2, [[2.0**-22] * 2] * 2, [2.0**-22] * 2),  # K == 1 - tiny
+        graded_record(2, [[2.0**-22] * 2] * 2, [2.0**-22] * 2),  # K == 1 - TINY
         graded_record(3, ones, [1.0, 1.0]),
-        graded_record(4, [[2.0**-18] * 2] * 2, [2.0**-18, 0.0]),  # K == 1 - small
-        graded_record(5, ones, [tiny, 0.0]),  # K == 1 - tiny, also as a first step
+        graded_record(4, [[2.0**-18] * 2] * 2, [2.0**-18, 0.0]),  # K == 1 - SMALL
+        graded_record(5, ones, [TINY, 0.0]),  # K == 1 - TINY, also as a first step
         # state s0 leads nowhere: K is 1/2 after a reset, 1 without one
         graded_record(6, [[0, 0], [1, 1]], [1.0, 0.5]),
     ]
-    report = assert_engines_agree(records, model, 2, 1)
+
+
+def test_dempster_reset_means_conflict_within_1e12_of_one():
+    # K is one minus the area of the union of the rectangles [0, P_ik] x
+    # [0, e_k]; a step resets to total ignorance iff K >= 1 - 1e-12
+    model = graded_model(2, "dempster")
+    report = assert_engines_agree(near_reset_records(), model, 2, 1)
     conflicts = [s.conflict for s in report.steps]
     assert conflicts[1] == 1.0
-    assert conflicts[2] == 1.0 - tiny
-    assert conflicts[4] == 1.0 - small
+    assert conflicts[2] == 1.0 - TINY
+    assert conflicts[4] == 1.0 - SMALL
     assert conflicts[6] == 0.5
     assert [s.index for s in report.steps if s.reset] == [1, 2, 5]
     # the window opened at record 5 resets on its first step as well
     assert report.windows[-1].start == 5
-    assert report.windows[-1].value == tiny * 0.5
+    assert report.windows[-1].value == TINY * 0.5
+
+
+def assert_engines_match_exact(records, model, window_len, stride):
+    """Both engines against the exact pass: conflicts and window values to
+    1e-12, and the same resets."""
+    conflicts, resets, values = exact_sliding(model, records, window_len, stride)
+    for engine in ("fast", "reference"):
+        report = sliding_effectiveness(
+            records, model, window_len, stride, engine=engine
+        )
+        assert report.resets.tolist() == resets, engine
+        for got, want in ((report.conflicts, conflicts), (report.values, values)):
+            assert len(got) == len(want)
+            gap = max(abs(a - float(b)) for a, b in zip(got.tolist(), want))
+            assert gap <= 1e-12, engine
+
+
+def test_engines_match_the_exact_oracle():
+    # tiny grades leave 1 - K between about 1e-12 and 1e-6 on some steps,
+    # where Dempster's division magnifies any residue on a mass that
+    # should be 0: beliefs built through a Moebius inverse, whose residue
+    # is about 1e-17, fail 3 of these 90 traces under Dempster
+    for rule in RULES:
+        assert_engines_match_exact(near_reset_records(), graded_model(2, rule), 2, 1)
+    grades = [0.0, 1e-200, 1e-20, 2.0**-19, 0.5, 1.0]
+    rng = np.random.default_rng(1)
+    for trial in range(90):
+        n = 1 + trial % 3
+        records = [
+            graded_record(t, rng.choice(grades, (n, n)), rng.choice(grades, n))
+            for t in range(5)
+        ]
+        window_len, stride = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        for rule in RULES:
+            assert_engines_match_exact(records, graded_model(n, rule), window_len, stride)
 
 
 def test_graded_near_total_conflict_agrees_with_reference():
@@ -480,6 +519,24 @@ def test_graded_near_total_conflict_agrees_with_reference():
     for rule in RULES:
         report = assert_engines_agree(records, graded_model(n, rule), 2, 1)
         assert all(s.conflict > 1.0 - 1e-8 for s in report.steps)
+
+
+def test_tiny_grades_agree_with_reference():
+    # grades from 1e-200 to 1 on three states: the reference's Moebius
+    # residue, divided by 1 - K near total conflict, once put its Dempster
+    # conflicts up to 5.4e-4 off and its resets off in 4 of these 20 traces
+    grades = [0.0, 1e-200, 1e-100, 1e-20, 2.0**-19, 0.5, 1.0]
+    rng = np.random.default_rng(5)
+    traces = [
+        [
+            graded_record(t, rng.choice(grades, (3, 3)), rng.choice(grades, 3))
+            for t in range(100)
+        ]
+        for _ in range(20)
+    ]
+    for rule in RULES:
+        for records in traces:
+            assert_engines_agree(records, graded_model(3, rule), 5, 3)
 
 
 # records per block, which the full pass scans in chunks of 1, 1, 2, 4
@@ -812,10 +869,9 @@ def test_chunked_scan_keeps_tiny_grades(rule, monkeypatch):
     # log scales, and the walk over the chunk boundaries rescales by the
     # rows the state weighs.  Grades down to 1e-200 must turn no exact 0
     # into a non-zero and no non-zero into 0, so the conflicts match the
-    # record-by-record pass at both ends (the reference's mass-space sums
-    # lose digits at such grades under Dempster).  Most records keep every
-    # row in play through a shared state k, so that the steps do not all
-    # reset.
+    # record-by-record pass at both ends, and the reference to 1e-9.  Most
+    # records keep every row in play through a shared state k, so that the
+    # steps do not all reset.
     rng = np.random.default_rng(13)
     grades = [0.0, 1e-200, 1e-100, 1e-30, 2.0**-19, 0.5, 1.0]
     model = graded_model(3, rule)
@@ -835,8 +891,7 @@ def test_chunked_scan_keeps_tiny_grades(rule, monkeypatch):
         assert np.allclose(conflicts, expected, rtol=0.0, atol=1e-12)
         assert ((conflicts == 0.0) == (expected == 0.0)).all()
         assert ((conflicts == 1.0) == (expected == 1.0)).all()
-        if rule != "dempster":
-            assert_reports_agree(report, ref)
+        assert_reports_agree(report, ref)
 
     # the only plausible state s1 keeps a transfer of 2**-38 per step while
     # s0 keeps 1: 900 records are one block at N = 2, scanned in chunks of
@@ -1190,6 +1245,21 @@ def test_deterministic_test_examples():
         deterministic_test(model, ["x9"], trace)
     with pytest.raises(KeyError):
         deterministic_test(model, ["x1", "x9"], trace)
+
+
+def test_deterministic_test_of_an_empty_trace():
+    model = luminosity_crisp_model()
+    with pytest.raises(EmptyLog):
+        deterministic_test(model, [], [])
+    with pytest.raises(EmptyLog):
+        best_deterministic_test(model, [])
+    # a model not all crisp, then a length, come first
+    with pytest.raises(ValidationError):
+        deterministic_test(luminosity_model(), [], [])
+    with pytest.raises(ValidationError):
+        best_deterministic_test(luminosity_model(), [])
+    with pytest.raises(LengthMismatch):
+        deterministic_test(model, ["x1"], [])
 
 
 def test_crisp_reduction_mini():
