@@ -540,9 +540,12 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
         # in place: later reads go through ``eng.step``, which resets there
         # anyway, and the windows' breach test reads only the last two columns
         chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
+    # two buffers taken in turn, chunks last in memory: the max and the
+    # divide below loop over the chunks, not over a row's N + 1 entries
+    pair = np.empty((2, rows, rows, count)).transpose(0, 3, 1, 2)
     products, logs = np.eye(rows), np.zeros((count, rows))
     for j in range(span):
-        products = products @ chunks[:, j]
+        products = np.matmul(products, chunks[:, j], out=pair[j % 2])
         scale = products.max(2)
         live = scale > 0  # a row that is exactly 0 stays 0
         np.divide(products, scale[..., None], out=products, where=live[..., None])

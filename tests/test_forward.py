@@ -1,6 +1,7 @@
 """Model construction, prediction and forward-pass tests."""
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -1322,3 +1323,41 @@ def test_relabelling_the_states_changes_no_result(name, scenario, rule):
     np.testing.assert_allclose(got.conflicts, want.conflicts, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
     assert got.resets.tolist() == want.resets.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def locality_case(name, scenario, rule):
+    """A model under ``rule``, its block length, and a trace of two blocks
+    and a bit."""
+    from evimon import bundled
+    from evimon.forward import ContourEngine
+    from evimon.generate import generate_trace
+    from evimon.modelfile import parse_model
+
+    model = dataclasses.replace(parse_model(bundled.model_path(name)), rule=rule)
+    block = ContourEngine(model)._block
+    return model, block, generate_trace(model, scenario, 2 * block + 60, 5)[0]
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("name, scenario", [("ride_comfort", "mixed"), ("speed_limits", "breach")])
+@settings(max_examples=25, deadline=None)
+@given(
+    window_len=st.integers(1, 40),
+    stride=st.integers(1, 13),
+    edge=st.integers(1, 2),
+    offsets=st.lists(st.integers(-45, 4), min_size=1, max_size=4),
+)
+def test_a_window_is_its_own_records_evaluated_alone(
+    name, scenario, rule, window_len, stride, edge, offsets
+):
+    # window k depends on records k * stride ... k * stride + W - 1 alone:
+    # it is window 0 of those records, bit for bit, whether it ends before,
+    # across or after one of the full pass's block edges
+    model, block, records = locality_case(name, scenario, rule)
+    values = sliding_effectiveness(records, model, window_len, stride).values
+    for offset in offsets:
+        k = min(max(0, (edge * block + offset) // stride), len(values) - 1)
+        first = k * stride
+        alone = sliding_effectiveness(records[first : first + window_len], model, window_len)
+        assert values[k] == alone.values[0], (k, first)

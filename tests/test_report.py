@@ -1,18 +1,20 @@
-"""The report CSV's bytes against the csv.writer formulation it replaced."""
+"""The report CSV's bytes against the csv.writer formulation it replaced, and
+the summary's against ``json.dumps``."""
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from evimon import report
 from evimon.forward import EffectivenessReport
-from evimon.report import write_report_csv
+from evimon.report import summary_dict, summary_json, write_report_csv
 
-EDGES = [0.0, 1.0, 5e-324, 1e-300, 1 - 2**-53, 0.5, 1 / 3, 2**-1074 * 3, 1e-17]
+EDGES = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1 - 2**-53, 0.5, 1 / 3, 2**-1074 * 3, 1e-17]
 
 
 def csv_writer_bytes(rep: EffectivenessReport) -> bytes:
@@ -37,7 +39,9 @@ def csv_writer_bytes(rep: EffectivenessReport) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def make_report(timestamps, conflicts, window_len, stride) -> EffectivenessReport:
+def make_report(
+    timestamps, conflicts, window_len, stride, rule="dempster"
+) -> EffectivenessReport:
     conflicts = np.asarray(conflicts, dtype=float)
     starts = range(0, len(conflicts) - window_len + 1, stride)
     values = np.array(
@@ -46,11 +50,11 @@ def make_report(timestamps, conflicts, window_len, stride) -> EffectivenessRepor
     return EffectivenessReport(
         np.asarray(timestamps, dtype=float),
         conflicts,
-        np.flatnonzero(conflicts == 1.0),
+        np.flatnonzero(conflicts == 1.0) if rule == "dempster" else np.zeros(0, int),
         values,
         window_len,
         stride,
-        "dempster",
+        rule,
     )
 
 
@@ -99,4 +103,47 @@ def test_every_edge_value_is_written_as_before(tmp_path):
     write_report_csv(rep, path)
     assert path.read_bytes() == csv_writer_bytes(rep)
     assert "\n-0,0,1,1\n" in path.read_text()  # -0.0 keeps its sign
+    assert "\n0,-0,1,1\n" in path.read_text()
     assert ",4.94065645841e-324,1,1\n" in path.read_text()
+
+
+BLOCKS = {
+    # -0.0 and 0.0 in one block: the same value, two different cells
+    "signed-zeros": [0.0, -0.0, -0.0, 0.0, 1.0, -0.0],
+    "all-equal": [0.25] * 9,
+    "all-distinct": (np.arange(1, 10) / 11).tolist(),
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("window_len, stride", [(1, 1), (2, 3)])
+def test_report_bytes_of_repeated_and_distinct_conflicts(tmp_path, monkeypatch, block, window_len, stride):
+    monkeypatch.setattr(report, "_BLOCK_LINES", 4)
+    conflicts = BLOCKS[block]
+    rep = make_report(TIMESTAMPS["negative"](len(conflicts)), conflicts, window_len, stride)
+    path = tmp_path / "r.csv"
+    write_report_csv(rep, path)
+    assert path.read_bytes() == csv_writer_bytes(rep)
+    if block == "signed-zeros":
+        assert path.read_text().count(",-0,1,") == 3
+
+
+SUMMARIES = {
+    "no-step": [0.5, 0.0, 0.25],
+    "one-step": [0.5, 1.0, 0.25],
+    # every step breaches and, under Dempster, resets
+    "two-blocks-of-steps": [1.0] * (2 * report._BLOCK_LINES),
+    # 1 - conflict is 2^-52 a record, so the product is 2^-1040
+    "subnormal-overall": [1 - 2**-52] * 20,
+    "zero-overall": [0.5, 1.0, 1 - 2**-52, -0.0],
+}
+
+
+@pytest.mark.parametrize("rule", ["dempster", "yager", "dubois_prade"])
+@pytest.mark.parametrize("conflicts", SUMMARIES)
+def test_summary_bytes_are_json_dumps(conflicts, rule):
+    c = SUMMARIES[conflicts]
+    rep = make_report(np.arange(len(c), dtype=float), c, 2, 1, rule)
+    assert summary_json(rep) == json.dumps(summary_dict(rep), indent=2) + "\n"
+    if conflicts == "subnormal-overall":
+        assert rep.overall == 2.0**-1040
