@@ -17,7 +17,7 @@ one linear pass over the states a passing prefix reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,60 +38,47 @@ from .trace import TraceRecord
 
 @dataclass(frozen=True, eq=False)
 class EvIohmm:
-    """Model tuple: frame, transition tolerances, emission tolerances, prior, rule."""
+    """Model tuple: frame, transition tolerances, emission tolerances, prior, rule.
+
+    The tables may be given as any sequences and are kept as tuples.  A
+    ``None`` prior is the vacuous one, and ``None`` variables of a side
+    are those its constraints read, sorted; declared ones must cover them.
+    """
 
     frame: Frame
     transitions: tuple[tuple[ConstraintVector, ...], ...]
     emissions: tuple[ConstraintVector, ...]
+    _: KW_ONLY
     prior: MassFunction | None = None
     rule: str = "dempster"
-    input_variables: tuple[str, ...] = ()
-    output_variables: tuple[str, ...] = ()
+    input_variables: tuple[str, ...] | None = None
+    output_variables: tuple[str, ...] | None = None
     name: str = ""
 
-    def __init__(
-        self,
-        frame: Frame,
-        transitions,
-        emissions,
-        *,
-        prior: MassFunction | None = None,
-        rule: str = "dempster",
-        input_variables=None,
-        output_variables=None,
-        name: str = "",
-    ):
-        n = frame.size
-        transitions = tuple(tuple(row) for row in transitions)
-        emissions = tuple(emissions)
+    def __post_init__(self):
+        n = self.frame.size
+        transitions = tuple(tuple(row) for row in self.transitions)
+        emissions = tuple(self.emissions)
         if len(transitions) != n or any(len(row) != n for row in transitions):
             raise ValidationError(
                 f"transition table must be {n}x{n} constraint vectors"
             )
         if len(emissions) != n:
             raise ValidationError(f"need one emission vector per state, got {len(emissions)}")
-        if rule not in NORMALIZATION_RULES:
-            raise ValidationError(f"unknown normalization rule {rule!r}")
-        if prior is None:
-            prior = vacuous(frame)
-        if prior.frame != frame:
+        if self.rule not in NORMALIZATION_RULES:
+            raise ValidationError(f"unknown normalization rule {self.rule!r}")
+        prior = vacuous(self.frame) if self.prior is None else self.prior
+        if prior.frame != self.frame:
             raise ValidationError("prior is defined on a different frame")
 
         arcs = [cv for row in transitions for cv in row]
-        input_variables = _declared(arcs, input_variables, "transition", "inputs")
-        output_variables = _declared(emissions, output_variables, "emission", "outputs")
-
-        for attr, value in (
-            ("frame", frame),
-            ("transitions", transitions),
-            ("emissions", emissions),
-            ("prior", prior),
-            ("rule", rule),
-            ("input_variables", input_variables),
-            ("output_variables", output_variables),
-            ("name", name),
-        ):
-            object.__setattr__(self, attr, value)
+        inputs = _declared(arcs, self.input_variables, "transition", "inputs")
+        outputs = _declared(emissions, self.output_variables, "emission", "outputs")
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "emissions", emissions)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "input_variables", inputs)
+        object.__setattr__(self, "output_variables", outputs)
 
     @property
     def is_crisp(self) -> bool:

@@ -72,10 +72,11 @@ def model_from_dict(doc, *, source: str = "<dict>") -> EvIohmm:
     def names(key):
         values = need(key, list)
         for k, value in enumerate(values):
+            where = f"{source}:{key}[{k}]"
             if not isinstance(value, str):
-                raise ParseError(
-                    f"{key} must be strings, got {value!r}", f"{source}:{key}[{k}]"
-                )
+                raise ParseError(f"{key} must be strings, got {value!r}", where)
+            if value in values[:k]:  # a frame names each state once, a trace each column
+                raise ParseError(f"{key} must be distinct, got {value!r} twice", where)
         return values
 
     version = need("format_version", int)

@@ -248,61 +248,54 @@ def _parse_cells(
     first fault, by line and record.
 
     ``reader`` reads on after ``lines`` lines of the file, up to the end of
-    the row that holds its ``stop``-th line.  A row's line is its first.
+    the row that holds its ``stop``-th line.  A row's line is its first.  A
+    row's cells are checked in one pass over its columns: the timestamp,
+    which must not decrease, then the inputs, which record 1 may leave
+    empty, then the outputs.
     """
-
-    def numbered():
-        last = reader.line_num
-        for row in reader:
-            yield lines + last + 1, row
-            last = reader.line_num
-            if last >= stop:
-                return
-
+    # (position, name, required on record 1)
+    columns = [(0, "timestamp", True)]
+    columns += [(pos, f"in.{name}", False) for pos, name in in_cols]
+    columns += [(pos, f"out.{name}", True) for pos, name in out_cols]
     rows: list[list[float]] = []
+    last = reader.line_num
     try:
-        for lineno, row in numbered():
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}", where)
-            record_index = done + len(rows) + 1
-
-            def cell(pos, name, required):
-                raw = row[pos].strip()
-                if not raw:
-                    if required:
+        for row in reader:
+            where = f"{path}:{lines + last + 1}"
+            last = reader.line_num
+            if any(cell.strip() for cell in row):
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", where)
+                record_index = done + len(rows) + 1
+                values = [math.nan] * len(header)
+                for pos, name, required in columns:
+                    raw = row[pos].strip()
+                    if not raw:
+                        if required or record_index > 1:
+                            raise ParseError(
+                                f"record {record_index} is missing column {name!r}", where
+                            )
+                        continue
+                    try:
+                        values[pos] = float(raw)
+                    except ValueError:
                         raise ParseError(
-                            f"record {record_index} is missing column {name!r}", where
+                            f"record {record_index} column {name!r}: not a number: {raw!r}",
+                            where,
+                        ) from None
+                    if not math.isfinite(values[pos]):
+                        raise ParseError(
+                            f"record {record_index} column {name!r}: not finite: {raw!r}",
+                            where,
                         )
-                    return math.nan
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"record {record_index} column {name!r}: not a number: {raw!r}",
-                        where,
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"record {record_index} column {name!r}: not finite: {raw!r}",
-                        where,
-                    )
-                return value
-
-            ts = cell(0, "timestamp", True)
-            if ts < last_ts:
-                raise ParseError(
-                    f"record {record_index}: timestamp {ts} decreases", where
-                )
-            last_ts = ts
-            values = [ts] + [math.nan] * (len(header) - 1)
-            for pos, name in in_cols:
-                values[pos] = cell(pos, f"in.{name}", required=record_index > 1)
-            for pos, name in out_cols:
-                values[pos] = cell(pos, f"out.{name}", required=True)
-            rows.append(values)
+                    if not pos and values[0] < last_ts:
+                        raise ParseError(
+                            f"record {record_index}: timestamp {values[0]} decreases", where
+                        )
+                last_ts = values[0]
+                rows.append(values)
+            if last >= stop:
+                break
     except csv.Error as exc:  # on the line the reader stopped at
         where = f"{path}:{lines + reader.line_num}"
         raise ParseError(f"malformed CSV: {exc}", where) from None

@@ -162,6 +162,15 @@ def test_conditioning_weights_structure():
     assert w[2] == 1.0
 
 
+def test_a_prior_on_the_empty_set_conditions_on_the_empty_set():
+    model = luminosity_model()
+    empty = categorical(model.frame, 0)
+    w = conditioning_weights(empty)
+    assert w.tolist() == [1.0, 0.0, 0.0, 0.0]
+    rows = build_transition_rows(model, {"pres": 3.5})
+    assert predict(empty, rows).masses.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -300,6 +309,14 @@ def test_sliding_window_too_short():
         sliding_effectiveness(comfort_trace(5), model, 10, 1)
     with pytest.raises(ValueError):
         sliding_effectiveness(comfort_trace(5), model, 0, 1)
+
+
+def test_sliding_window_rejects_a_bad_stride_or_engine():
+    model = luminosity_model()
+    with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+        sliding_effectiveness(comfort_trace(5), model, 2, stride=0)
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        sliding_effectiveness(comfort_trace(5), model, 2, engine="bogus")
 
 
 # ---------------------------------------------------------------------------

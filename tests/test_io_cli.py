@@ -1,16 +1,20 @@
 """Model files, trace files, report emission, generation, and the CLI."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimon import bundled
-from evimon.belief import MassFunction
+from evimon.belief import Frame, MassFunction, vacuous
 from evimon.errors import (
     GenerationError,
     ParseError,
@@ -94,6 +98,45 @@ def test_model_rejects_undeclared_variables():
     assert str(err.value) == "emission constraints reference undeclared outputs ['lum']"
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"transitions": ((None,) * 2,)}, "transition table must be 2x2 constraint vectors"),
+        ({"emissions": (None,)}, "need one emission vector per state, got 1"),
+        ({"rule": "bogus"}, "unknown normalization rule 'bogus'"),
+        ({"prior": vacuous(Frame(["x1"]))}, "prior is defined on a different frame"),
+    ],
+)
+def test_model_construction_fails_on_a_bad_part(change, message):
+    base = luminosity_model()
+    parts = dict(
+        frame=base.frame,
+        transitions=base.transitions,
+        emissions=base.emissions,
+        input_variables=base.input_variables,
+        output_variables=base.output_variables,
+    )
+    with pytest.raises(ValidationError) as err:
+        EvIohmm(**{**parts, **change})
+    assert str(err.value) == message
+
+
+def test_model_construction_defaults_and_keywords():
+    base = luminosity_model()
+    # a replaced field is checked as in the constructor
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(base, rule="bogus")
+    assert str(err.value) == "unknown normalization rule 'bogus'"
+    with pytest.raises(TypeError):
+        EvIohmm(base.frame, base.transitions, base.emissions, vacuous(base.frame))
+    model = EvIohmm(base.frame, base.transitions, base.emissions, prior=None)
+    assert model.prior.frame == base.frame and model.prior.is_vacuous()
+    speed = parse_model(bundled.model_path("speed_limits"))
+    read = EvIohmm(speed.frame, speed.transitions, speed.emissions, input_variables=None)
+    assert read.input_variables == ("max_speed", "precipitation", "visibility")
+    assert read.output_variables == ("speed",)
+
+
 def test_parse_model_bad_ramp_names_the_arc(tmp_path):
     doc = model_to_dict(luminosity_model())
     doc["transitions"][0]["constraints"][0]["params"] = [5.0, 3.0]
@@ -122,6 +165,10 @@ HOSTILE_DOCUMENTS = {
     # a prior key separates states by ',', so none could name this one
     "state-comma": (_set("states", 1, "x1,x2"), "states[1]"),
     "input-name": (_set("inputs", [["pres"]]), "inputs[0]"),
+    # a generated trace would name the column twice, which its reader rejects
+    "input-twice": (_set("inputs", ["pres", "pres"]), "inputs[1]"),
+    "output-twice": (_set("outputs", ["lum", "lum"]), "outputs[1]"),
+    "state-twice": (_set("states", ["x1", "x2", "x1"]), "states[2]"),
     "output-name": (_set("outputs", ["lum", 3]), "outputs[1]"),
     "variable": (
         _set("transitions", 0, "constraints", 0, "variable", ["pres"]),
@@ -299,6 +346,50 @@ def test_model_from_dict_rejects_unknown_state_and_duplicate_arc():
     doc["transitions"].append(doc["transitions"][0])
     with pytest.raises(ValidationError):
         model_from_dict(doc)
+
+
+# what a mutation may put in place of a value
+ODD_VALUES = (None, True, False, 2**70, 10**400, math.nan, math.inf, -math.inf, "", " ", ",")
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_document(name):
+    return bundled.model_path(name).read_text(encoding="utf-8")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled model document after one to three mutations: a key or list
+    entry deleted, a list entry duplicated, or a value swapped for an odd
+    one.  Each mutation picks its spot by a walk down from the top."""
+    doc = json.loads(bundled_document(draw(st.sampled_from(bundled.MODELS))))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = doc, draw(st.sampled_from(list(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            parent = parent[key]
+            keys = parent if isinstance(parent, dict) else range(len(parent))
+            key = draw(st.sampled_from(list(keys)))
+        ops = ("delete", "swap", "duplicate") if isinstance(parent, list) else ("delete", "swap")
+        op = draw(st.sampled_from(ops))
+        if op == "delete":
+            del parent[key]
+        elif op == "swap":
+            parent[key] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+    return doc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(doc=mutated_documents())
+def test_a_mutated_model_document_fails_as_a_parse_error_or_round_trips(doc):
+    # nothing but a ParseError or ValidationError escapes, and what
+    # is accepted is written and read back as it was
+    try:
+        once = model_to_dict(model_from_dict(doc))
+    except (ParseError, ValidationError):
+        return
+    assert model_to_dict(model_from_dict(once)) == once
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,21 @@ HOSTILE = {
         3,
         f"malformed CSV: field larger than field limit ({csv.field_size_limit()})",
     ),
+    # within a row: the timestamp, its decrease, the inputs, then the outputs
+    "decrease-before-a-bad-input": (
+        H + "0,1,1\n2,1,1\n1,x,1\n", 4, "record 3: timestamp 1.0 decreases"
+    ),
+    "bad-input-before-a-missing-output": (
+        H + "0,1,1\n1,x,\n", 3, "record 2 column 'in.u': not a number: 'x'"
+    ),
+    "bad-timestamp-before-a-missing-output": (
+        H + "0,1,1\nx,1,\n", 3, "record 2 column 'timestamp': not a number: 'x'"
+    ),
+    "bad-input-after-an-empty-record-0-input": (
+        "timestamp,in.u,in.v,out.y\n0,,x,1\n",
+        2,
+        "record 1 column 'in.v': not a number: 'x'",
+    ),
 }
 # a finite number longer than the csv field limit, on line 7 (a block of its own)
 OVERSIZED = BLOCK + "5,0." + "0" * (csv.field_size_limit() - 1) + "1,1\n"
