@@ -38,14 +38,16 @@ time, into arrays it overwrites in place, and frees a half's columns,
 values and cuts before the next half and the block's scan arrays before
 the next block, so it holds under 2.5 times the bytes of one block's
 maps, which ``_BLOCK_CELLS`` bounds.  The full pass scans each block of
-B maps in place, in C = ceil(B / L) chunks of L = isqrt(B) records (see
-``_scan``): 2L + C iterations of numpy calls per block, not B steps.
-A chunk with a step whose Dempster reset its rows' conflicts do not
-settle, by a conservative test, is walked record by record.  A window
-over an exact breach, a record whose map conflicts totally on every row,
-is exactly 0 and never advances; the other windows that end in a block
-advance together over the same buffer, W steps per block, and write
-their values at once, so no window keeps its W conflicts.  A step is
+B maps in place, in speculative chunks of 16 records, each but the first
+started 8 records early from the start row and checked bit for bit at
+its seam (see ``_scan``): about 24 batched steps per block, not B.  A
+block whose seams do not agree, on a model that does not forget, takes
+the product-carried scan ``_carry`` on top: 2L + C iterations for C =
+ceil(B / L) chunks of L = isqrt(B) records.  A window over an exact
+breach, a record whose map conflicts totally on every row, is exactly 0
+and never advances; the other windows that end in a block advance
+together over the same buffer, W steps per block, each step multiplying
+their running products, so no window keeps its W conflicts.  A step is
 O(N**2) per pass; with few states its small numpy calls, not the
 arithmetic, are the cost.  The report is arrays, and its row objects
 are built on request.
@@ -82,8 +84,12 @@ _CONTOUR_EPS = 1e-15
 # cells of a block's maps (records x rows x N + 3, rows = N + 1 or focal
 # sets): a pass holds one such buffer, plus W - 1 maps, and arrays of half
 # a block at a time.  The scan's numpy calls per record fall as one over
-# the square root of a block, and windows take W steps a block
+# a block (one over its square root where it falls back to ``_carry``),
+# and windows take W steps a block
 _BLOCK_CELLS = 1 << 16
+# the full pass's chunks of records, each but the first started this many
+# records early from the start row (see ``_scan``)
+_SPAN, _WARM = 16, 8
 
 
 def _clip_unit(value: float) -> float:
@@ -515,7 +521,60 @@ def sliding_effectiveness(
 
 def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     """Conflicts of the first ``size`` maps and the state after them, from
-    ``state``; identity maps after them pad the last chunk.
+    ``state``: a record-by-record pass's, bit for bit, unless it falls back.
+
+    A speculative scan in chunks of ``_SPAN`` records.  Chunk 0 starts from
+    ``state``, every other chunk from the start row ``_WARM`` records before
+    its first, as a window would; then all chunks step together.  A pass
+    forgets where it started, so within a few records the early start holds
+    the true pass's bits.  A chunk is kept if its stack at its first record
+    has the bits of its predecessor's end stack: every kept chunk then
+    steps from the true pass's stack.  Chunks whose seams fail, no two side
+    by side, step once more from their predecessors' ends.  If a seam still
+    fails, or two failing seams are adjacent, ``_carry`` scans the block.
+    The chunks' grid reaches past the block, but the last chunk stops at
+    the block's end: no map after it is read.
+    """
+    count = -(-size // _SPAN)
+    cut = size - (count - 1) * _SPAN  # records of the last chunk
+    grid = maps[: count * _SPAN].reshape(count, _SPAN, *maps.shape[1:])
+    warm = eng.start.repeat(count - 1, 0)
+    warm = _advance(eng, warm, _WARM, lambda j: grid[:-1, j - _WARM])[1]
+    firsts = np.concatenate([state, warm])
+    conflicts, ends = _chunks(eng, grid, firsts, cut)
+
+    def failing():  # chunks whose first stack is not their predecessor's end
+        # by their bits: 0.0 and -0.0 differ, and a NaN equals itself
+        seams = ends[:-1].view(np.uint64) != firsts[1:].view(np.uint64)
+        return np.flatnonzero(seams.any(1)) + 1
+
+    bad = failing()
+    if len(bad) and not (np.diff(bad) == 1).any():
+        firsts[bad] = ends[bad - 1]
+        last = cut if bad[-1] == count - 1 else _SPAN
+        conflicts[bad], ends[bad] = _chunks(eng, grid[bad], firsts[bad], last)
+        bad = failing()
+    if len(bad):
+        return _carry(eng, maps, size, state)
+    return conflicts.reshape(-1)[:size], ends[-1:]
+
+
+def _chunks(eng, grid, firsts, cut):
+    """Conflicts (chunks x ``_SPAN``) and end stacks of the chunks of maps
+    ``grid``, stepped together from ``firsts``; the last chunk stops after
+    ``cut`` maps (an identity pad would divide its stack by its sum)."""
+    conflicts = np.empty(grid.shape[:2])
+    conflicts[:, :cut], ends = _advance(eng, firsts, cut, lambda j: grid[:, j])
+    conflicts[:-1, cut:], ends[:-1] = _advance(
+        eng, ends[:-1], _SPAN - cut, lambda j: grid[:-1, cut + j]
+    )
+    return conflicts, ends
+
+
+def _carry(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
+    """Conflicts of the first ``size`` maps and the state after them, from
+    ``state``, to float precision; identity maps after them pad the last
+    chunk.  ``_scan`` falls back to it where its chunks' seams disagree.
 
     A chunked scan of ``A_t = M_t[:, :N + 1]``.  A step is ambiguous unless
     all its rows' conflicts lie eps/2 or more above Dempster's threshold,
@@ -573,9 +632,14 @@ def _advance(eng, stack, steps, operand):
 
 
 def _products(eng, count, steps, operand):
-    """Values of ``count`` windows from the start row; step j takes ``operand(j)``."""
-    log = _advance(eng, eng.start.repeat(count, 0), steps, operand)[0]
-    return np.prod(np.subtract(1.0, log, out=log), axis=1)
+    """Values of ``count`` windows from the start row; step j takes ``operand(j)``.
+
+    A running product, in the order ``np.prod`` would take the factors."""
+    stack, values = eng.start.repeat(count, 0), np.ones(count)
+    for j in range(steps):
+        conflicts, stack = eng.step(stack, operand(j))
+        values *= 1.0 - np.clip(conflicts, 0.0, 1.0)
+    return values
 
 
 def _windows_fast(trace, model, window_len, stride):
@@ -592,7 +656,7 @@ def _windows_fast(trace, model, window_len, stride):
     """
     eng = ContourEngine(model)
     n, tail = model.frame.size, window_len - 1
-    room = min(len(trace), tail + eng._block) + math.isqrt(eng._block)
+    room = min(len(trace), tail + eng._block) + max(math.isqrt(eng._block), _SPAN)
     maps = np.empty((room, n + 1, n + 3))
     flat, width = maps.reshape(-1), (n + 1) * (n + 3)
     conflicts, state, held = np.empty(len(trace)), eng.start, 0
