@@ -39,8 +39,8 @@ values and cuts before the next half and the block's scan arrays before
 the next block, so it holds under 2.5 times the bytes of one block's
 maps, which ``_BLOCK_CELLS`` bounds.  The full pass scans each block of
 B maps in place, in speculative chunks of 16 records, each but the first
-started 8 records early from the start row and checked bit for bit at
-its seam (see ``_scan``): about 24 batched steps per block, not B.  A
+started 12 records early from the start row and checked bit for bit at
+its seam (see ``_scan``): about 28 batched steps per block, not B.  A
 block whose seams do not agree, on a model that does not forget, takes
 the product-carried scan ``_carry`` on top: 2L + C iterations for C =
 ceil(B / L) chunks of L = isqrt(B) records.  A window over an exact
@@ -88,8 +88,8 @@ _CONTOUR_EPS = 1e-15
 # and windows take W steps a block
 _BLOCK_CELLS = 1 << 16
 # the full pass's chunks of records, each but the first started this many
-# records early from the start row (see ``_scan``)
-_SPAN, _WARM = 16, 8
+# records early from the start row (see ``_scan``); _WARM <= _SPAN
+_SPAN, _WARM = 16, 12
 
 
 def _clip_unit(value: float) -> float:
@@ -521,19 +521,20 @@ def sliding_effectiveness(
 
 def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     """Conflicts of the first ``size`` maps and the state after them, from
-    ``state``: a record-by-record pass's, bit for bit, unless it falls back.
+    ``state``: unless it falls back, a record-by-record pass's from
+    ``state``, bit for bit, so the whole pass's wherever no earlier block
+    fell back.
 
     A speculative scan in chunks of ``_SPAN`` records.  Chunk 0 starts from
     ``state``, every other chunk from the start row ``_WARM`` records before
     its first, as a window would; then all chunks step together.  A pass
     forgets where it started, so within a few records the early start holds
-    the true pass's bits.  A chunk is kept if its stack at its first record
-    has the bits of its predecessor's end stack: every kept chunk then
-    steps from the true pass's stack.  Chunks whose seams fail, no two side
-    by side, step once more from their predecessors' ends.  If a seam still
-    fails, or two failing seams are adjacent, ``_carry`` scans the block.
-    The chunks' grid reaches past the block, but the last chunk stops at
-    the block's end: no map after it is read.
+    the true pass's bits.  The scan is kept if every chunk's stack at its
+    first record has the bits of its predecessor's end stack: every chunk
+    then steps from the true pass's stack.  If any seam fails, ``_carry``
+    scans the block.  The chunks' grid reaches past the block, but the
+    last chunk stops at the block's end (an identity pad would divide its
+    stack by its sum): no map after it is read.
     """
     count = -(-size // _SPAN)
     cut = size - (count - 1) * _SPAN  # records of the last chunk
@@ -541,34 +542,15 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     warm = eng.start.repeat(count - 1, 0)
     warm = _advance(eng, warm, _WARM, lambda j: grid[:-1, j - _WARM])[1]
     firsts = np.concatenate([state, warm])
-    conflicts, ends = _chunks(eng, grid, firsts, cut)
-
-    def failing():  # chunks whose first stack is not their predecessor's end
-        # by their bits: 0.0 and -0.0 differ, and a NaN equals itself
-        seams = ends[:-1].view(np.uint64) != firsts[1:].view(np.uint64)
-        return np.flatnonzero(seams.any(1)) + 1
-
-    bad = failing()
-    if len(bad) and not (np.diff(bad) == 1).any():
-        firsts[bad] = ends[bad - 1]
-        last = cut if bad[-1] == count - 1 else _SPAN
-        conflicts[bad], ends[bad] = _chunks(eng, grid[bad], firsts[bad], last)
-        bad = failing()
-    if len(bad):
-        return _carry(eng, maps, size, state)
-    return conflicts.reshape(-1)[:size], ends[-1:]
-
-
-def _chunks(eng, grid, firsts, cut):
-    """Conflicts (chunks x ``_SPAN``) and end stacks of the chunks of maps
-    ``grid``, stepped together from ``firsts``; the last chunk stops after
-    ``cut`` maps (an identity pad would divide its stack by its sum)."""
-    conflicts = np.empty(grid.shape[:2])
+    conflicts = np.empty((count, _SPAN))
     conflicts[:, :cut], ends = _advance(eng, firsts, cut, lambda j: grid[:, j])
     conflicts[:-1, cut:], ends[:-1] = _advance(
         eng, ends[:-1], _SPAN - cut, lambda j: grid[:-1, cut + j]
     )
-    return conflicts, ends
+    # by their bits: 0.0 and -0.0 differ, and a NaN equals itself
+    if (ends[:-1].view(np.uint64) != firsts[1:].view(np.uint64)).any():
+        return _carry(eng, maps, size, state)
+    return conflicts.reshape(-1)[:size], ends[-1:]
 
 
 def _carry(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
