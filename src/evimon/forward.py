@@ -27,29 +27,28 @@ order, so a step whose weighted rows all conflict totally reads exactly
 Cost of the fast path.  What a step reads from the records alone is one
 map ``M_t`` per record, (N + 1) x (N + 3), the rule folded in so that a
 step is linear in the contour up to scale (see ``ContourEngine._maps``).
-The maps are computed a block of records at a time, each distinct
-constraint vector once per block over a view of the trace's columns
-(see ``trace.Trace``; records given one by one are read into columns
-once, on entry): O((N + F) * N) work per record for a prior of F focal
-sets, O((N + F) * N**2) under Dubois-Prade, and per half block a number
-of numpy calls set by the model alone.  A pass writes each block's maps
-into one buffer, after the last W - 1 maps before it, half a block at a
-time, into arrays it overwrites in place, and frees a half's columns,
-values and cuts before the next half and the block's scan arrays before
-the next block, so it holds under 2.5 times the bytes of one block's
-maps, which ``_BLOCK_CELLS`` bounds.  The full pass scans each block of
-B maps in place, in speculative chunks of 16 records, each but the first
-started 12 records early from the start row and checked bit for bit at
-its seam (see ``_scan``): about 28 batched steps per block, not B.  A
-block whose seams do not agree, on a model that does not forget, takes
-the product-carried scan ``_carry`` on top: 2L + C iterations for C =
-ceil(B / L) chunks of L = isqrt(B) records.  A window over an exact
-breach, a record whose map conflicts totally on every row, is exactly 0
-and never advances; the other windows that end in a block advance
-together over the same buffer, W steps per block, each step multiplying
-their running products, so no window keeps its W conflicts.  A step is
-O(N**2) per pass; with few states its small numpy calls, not the
-arithmetic, are the cost.  The report is arrays, and its row objects
+The maps are computed a block of records at a time, in parts of at most
+half a block, over views of the trace's columns: each distinct
+(variable, curve) pair once a part, then one cut of the N arc rows and
+the F rows of a prior of F focal sets, O((N + F) * N) work per record
+(O((N + F) * N**2) under Dubois-Prade) in a number of numpy calls the
+model sets.  A pass writes each block's maps into one buffer, after the
+last W - 1 maps before it, and frees a part's arrays before the next
+part and the block's scan arrays before the next block, so it holds
+under 2.7 times the bytes of one block's maps, which ``_BLOCK_CELLS``
+bounds.  The full pass scans each block of B maps in place, in
+speculative chunks of 16 records, each but the first started 12 records
+early from the start row and checked bit for bit at its seam (see
+``_scan``): about 28 batched steps per block, not B (B in a block of one
+chunk).  A block whose seams do not agree, on a model that does not
+forget, takes the product-carried scan ``_carry`` on top: 2L + C
+iterations for C = ceil(B / L) chunks of L = isqrt(B) records.  A window
+over an exact breach, a record whose map conflicts totally on every row,
+is exactly 0 and never advances; the other windows that end in a block
+advance together over the same buffer, W steps per block, each step
+multiplying their running products, so no window keeps its W conflicts.
+A step is O(N**2) per pass; with few states its small numpy calls, not
+the arithmetic, are the cost.  The report is arrays, and its row objects
 are built on request.
 """
 
@@ -77,7 +76,7 @@ from .iohmm import (
     build_transition_rows,
     emission_bba,
 )
-from .possibility import ConstraintVector, compile_constraint_vector
+from .possibility import Constraint, ConstraintVector, constant, evaluate_column
 from .trace import Trace, TraceRecord
 
 _CONTOUR_EPS = 1e-15
@@ -232,47 +231,49 @@ class ContourEngine:
     and a stack of passes advances in one matrix product.
 
     Everything but that product depends on the records alone, so
-    :meth:`_maps` computes it ahead, a block of records at a time, with
-    each distinct constraint vector compiled once and evaluated over a
-    column of observations.  An engine holds no state of a trace.
+    :meth:`_maps` computes it ahead, a block of records at a time.  An
+    engine holds no state of a trace.
     """
 
     def __init__(self, model: EvIohmm):
         self.rule = model.rule
         n = model.frame.size
-        arcs = [cv for row in model.transitions for cv in row]
-        self._arcs = _Curves(arcs, (n, n))
+        focal = np.flatnonzero(model.prior.masses)
+        self._masses = model.prior.masses[focal]
+        # the prior's focal sets as crisp rows of constant vectors, after the arcs
+        crisp = [ConstraintVector([Constraint("_", constant(b))]) for b in (0.0, 1.0)]
+        rows = [cv for row in model.transitions for cv in row]
+        rows += [crisp[f >> k & 1] for f in focal.tolist() for k in range(n)]
+        self._rows = _Curves(rows, (n + len(focal), n))
         self._emissions = _Curves(model.emissions, (n,))
         self._model = model  # whose scalar path locates a bad observation
-        masses = model.prior.masses
-        focal = np.flatnonzero(masses)
-        self._masses = masses[focal]
-        self._prior_rows = ((focal[None, :, None] >> np.arange(n)) & 1).astype(float)
         self._block = max(1, _BLOCK_CELLS // ((n + 3) * max(n + 1, len(focal))))
         self.start = np.eye(1, n + 1, n)
 
     def _maps(self, block: Trace, skip, maps) -> None:
         """Write the maps ``M_t`` of a block of records into ``maps`` (records x
-        N + 1 x N + 3), in two halves: a half's columns, values and cuts are
-        freed before the next.
+        N + 1 x N + 3), in parts of at most half a block, freed in turn.
 
         A map's rows are the N arc rows from the previous record (ones at
         record 0, whose inputs gate nothing; no live pass weighs them) and
-        the start row, the prior's crisp rows mixed by its masses, each laid
-        out as :meth:`_cuts` lays it out.
+        the start row, the prior's F crisp rows mixed by its masses.  A
+        part's N + F rows are cut together by :meth:`_cuts`, straight into
+        the maps when the prior is one focal set of mass exactly 1.
         """
-        n, half = self._prior_rows.shape[2], -(-len(block) // 2)
+        n, half = maps.shape[1] - 1, -(-self._block // 2)
+        mixed = self._masses.tolist() != [1.0]
         for first in range(0, len(block), half):
             part, out = block[first : first + half], maps[first : first + half]
             size, skip = len(part), skip if first == 0 else 0
             inputs, outputs = self._read(part, skip)
             e = self._emissions.values(outputs, size)
-            starts = np.empty((size, len(self._masses), n + 3))
-            self._cuts(self._prior_rows.repeat(size, 0), e, starts)
-            np.matmul(self._masses, starts, out=out[:, n])
-            del starts
+            cuts = np.empty((size, n + len(self._masses), n + 3)) if mixed else out
+            self._cuts(self._rows.values(inputs, size, skip), e, cuts)
+            if mixed:
+                out[:, :n] = cuts[:, :n]
+                np.matmul(self._masses, cuts[:, n:], out=out[:, n])
             out[:skip, :n] = 1.0
-            self._cuts(self._arcs.values(inputs, size - skip), e[skip:], out[skip:, :n])
+            del e, cuts  # before the next part's arrays
 
     def _read(self, block: Trace, skip) -> tuple[dict, dict]:
         """Input (from record ``skip`` on) and output columns of a block.
@@ -282,7 +283,7 @@ class ContourEngine:
         and arc or state.
         """
         absent = np.full(len(block), np.nan)  # a column the trace lacks
-        inputs = {v: block.inputs.get(v, absent)[skip:] for v in self._arcs.variables}
+        inputs = {v: block.inputs.get(v, absent)[skip:] for v in self._rows.variables}
         outputs = {v: block.outputs.get(v, absent) for v in self._emissions.variables}
         if all(np.isfinite(c).all() for c in [*inputs.values(), *outputs.values()]):
             return inputs, outputs
@@ -347,24 +348,38 @@ class ContourEngine:
 
 
 class _Curves:
-    """The distinct constraint vectors of one side of a model, compiled."""
+    """Constraint vectors, in an array of ``shape``, over columns of
+    observations: each distinct (variable, curve) pair of their active
+    entries is one column of a table, a constant's filled with its level and
+    any other's read once, and each distinct vector is the minimum of its
+    entries' columns."""
 
     def __init__(self, vectors: Sequence[ConstraintVector], shape):
-        slots: dict[ConstraintVector, int] = {}
-        self._slots = np.array(
-            [slots.setdefault(cv, len(slots)) for cv in vectors]
-        ).reshape(shape)
-        self._compiled = [compile_constraint_vector(cv) for cv in slots]
-        self.variables = sorted({v for cv in slots for v in cv.required_variables()})
+        distinct: dict[ConstraintVector, int] = {}
+        slots = [distinct.setdefault(cv, len(distinct)) for cv in vectors]
+        self._slots = np.reshape(slots, shape)
+        keys: dict[tuple, int] = {}
+        actives = ([e for e in cv.entries if not e.inhibited] for cv in distinct)
+        members = [
+            [keys.setdefault((e.variable, e.distribution), len(keys)) for e in active]
+            for active in actives
+        ]
+        width = max(map(len, members))  # padded by a repeat, which min ignores
+        self._members = np.array([m + m[:1] * (width - len(m)) for m in members]).T
+        levels = [d.params[0] if d.kind == "constant" else 1.0 for _, d in keys]
+        self._fill = np.array([levels])  # a read column's 1 until it is read
+        self._reads = [(j, v, d) for (v, d), j in keys.items() if d.kind != "constant"]
+        self.variables = sorted({v for _, v, _ in self._reads})
 
-    def values(self, columns: dict[str, np.ndarray], size: int) -> np.ndarray:
-        """Values (records x shape), each distinct vector evaluated once.
-
-        ``np.take`` lays them out C-contiguously: matrix products over
-        strided operands may round differently.
-        """
-        distinct = np.stack([f(columns, size) for f in self._compiled], axis=1)
-        return np.take(distinct, self._slots, axis=1)
+    def values(self, columns: dict[str, np.ndarray], size: int, skip=0) -> np.ndarray:
+        """Values (records x shape) of ``size`` records whose ``columns`` start
+        at record ``skip`` (each curve reads 1 before it), C-contiguous: matrix
+        products over strided operands may round differently."""
+        table = self._fill.repeat(size, 0)
+        for j, variable, dist in self._reads:
+            table[skip:, j] = evaluate_column(dist, columns[variable])
+        fused = np.take(table, self._members, axis=1).min(axis=1)
+        return np.take(fused, self._slots, axis=1)
 
 
 def _gather(rows: np.ndarray, order: np.ndarray, out: np.ndarray) -> None:
@@ -536,6 +551,9 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     last chunk stops at the block's end (an identity pad would divide its
     stack by its sum): no map after it is read.
     """
+    if size <= _SPAN:  # one chunk, with no seam to check
+        conflicts, state = _advance(eng, state, size, lambda j: maps[j : j + 1])
+        return conflicts[0], state
     count = -(-size // _SPAN)
     cut = size - (count - 1) * _SPAN  # records of the last chunk
     grid = maps[: count * _SPAN].reshape(count, _SPAN, *maps.shape[1:])

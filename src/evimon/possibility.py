@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -226,6 +226,13 @@ class ConstraintVector:
         if not any(not e.inhibited for e in entries):
             raise ValueError("constraint vector needs at least one active entry")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash(entries))
+
+    def __hash__(self) -> int:  # hashed once: an engine keys its dicts by vector
+        return self._hash
+
+    def __reduce__(self):  # a str's hash differs between processes
+        return ConstraintVector, (self.entries,)
 
     @classmethod
     def forbidden(cls) -> "ConstraintVector":
@@ -273,31 +280,6 @@ def evaluate_constraint_vector(
                 raise MissingVariable(entry.variable, context) from None
         result = min(result, evaluate(entry.distribution, value))
     return result
-
-
-def compile_constraint_vector(
-    cv: ConstraintVector,
-) -> Callable[[Mapping[str, np.ndarray], int], np.ndarray]:
-    """Column form of :func:`evaluate_constraint_vector`.
-
-    The returned ``f(columns, size)`` reads, for each of
-    ``cv.required_variables()``, an array of ``size`` finite observations
-    from ``columns`` and fuses the active curves by minimum; it equals the
-    scalar form record by record.  Reading the columns, and so locating a
-    missing or non-finite observation, is left to the caller.
-    """
-    active = [e for e in cv.entries if not e.inhibited]
-    constant = [e for e in active if e.distribution.kind == "constant"]
-    read = [(e.variable, e.distribution) for e in active if e not in constant]
-    floor = min([1.0] + [e.distribution.params[0] for e in constant])
-
-    def evaluate_columns(columns: Mapping[str, np.ndarray], size: int) -> np.ndarray:
-        out = np.full(size, floor)
-        for variable, dist in read:
-            np.minimum(out, evaluate_column(dist, columns[variable]), out=out)
-        return out
-
-    return evaluate_columns
 
 
 def singleton_possibilities_to_bba(frame: Frame, poss: Sequence[float]) -> MassFunction:

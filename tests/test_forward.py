@@ -574,12 +574,17 @@ def with_rule(base, rule, prior=None):
 
 
 def with_priors(base, rule):
-    """``base`` under ``rule``: with a vacuous prior, then with a prior of
-    four focal sets, one of them empty."""
+    """``base`` under ``rule``: with a vacuous prior, with a prior of four
+    focal sets, one of them empty, and with one of the whole frame alone at
+    mass 1 - 1e-12, which the engine must mix, not cut straight into its
+    maps as it does a mass of exactly 1."""
     n = base.frame.size
     masses = np.zeros(1 << n)
     masses[[0, 1, 0b110, (1 << n) - 1]] = [0.1, 0.2, 0.3, 0.4]
-    for prior in (None, MassFunction(base.frame, masses)):
+    almost = np.zeros(1 << n)
+    almost[-1] = 1.0 - 1e-12
+    priors = [MassFunction(base.frame, m) for m in (masses, almost)]
+    for prior in (None, *priors):
         yield with_rule(base, rule, prior)
 
 
@@ -696,7 +701,7 @@ def engine_maps(eng, records):
     """Every record's map, each block's written by ``ContourEngine._maps``."""
     from evimon.trace import Trace
 
-    trace, n = Trace.from_records(records), eng._prior_rows.shape[2]
+    trace, n = Trace.from_records(records), eng.start.shape[1] - 1
     maps = np.empty((len(trace), n + 1, n + 3))
     for first in range(0, len(trace), eng._block):
         block = trace[first : first + eng._block]
@@ -711,6 +716,8 @@ def concatenated_maps(model, records):
 
     eng, n = ContourEngine(model), model.frame.size
     trace = Trace.from_records(records)
+    focal = np.flatnonzero(model.prior.masses)
+    crisp = ((focal[:, None] >> np.arange(n)) & 1).astype(float)
     blocks = []
     for first in range(0, len(trace), eng._block):
         block = trace[first : first + eng._block]
@@ -718,9 +725,10 @@ def concatenated_maps(model, records):
         inputs, outputs = eng._read(block, skip)
         e = eng._emissions.values(outputs, size)
         maps = np.ones((size, n + 1, n + 3))
-        arcs = eng._arcs.values(inputs, size - skip)
+        arcs = eng._rows.values(inputs, size, skip)[skip:, :n]
         maps[skip:, :n] = concatenated_cuts(model.rule, arcs, e[skip:])
-        maps[:, n] = eng._masses @ concatenated_cuts(model.rule, eng._prior_rows, e)
+        starts = concatenated_cuts(model.rule, crisp[None].repeat(size, 0), e)
+        maps[:, n] = model.prior.masses[focal] @ starts
         blocks.append(maps)
     return np.concatenate(blocks)
 
@@ -742,13 +750,16 @@ def tied_records(rng, n, length):
 
 @pytest.mark.parametrize("rule", RULES)
 def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
-    # the engine writes each block's maps in place, half a block at a
-    # time, sorts Dempster's and Yager's rows in place after their
+    # the engine writes each block's maps in place, in parts of at most
+    # half a block, cuts a part's arc rows and the prior's crisp rows
+    # together, and straight into the maps for one focal set of mass
+    # exactly 1, sorts Dempster's and Yager's rows in place after their
     # transfer, and under Dubois-Prade builds each cut's strips by clipping
     # and sums a row's terms in another order (a + b = b + a exactly); the
     # maps must equal the concatenated formulation's bit for bit, with 3, 8
-    # and 11 states, under a vacuous prior and one of four focal sets, at
-    # blocks of 1 and 7 records and at the default block.  The 8-state
+    # and 11 states, under a vacuous prior, one of four focal sets and the
+    # whole frame at mass 1 - 1e-12, at blocks of 1 and 7 records and at
+    # the default block.  The 8-state
     # records tie their emissions at 1.0 and at 0.0, where the descending
     # order of each record's grades is not unique, and span a default block
     # and a half
@@ -784,11 +795,13 @@ def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
 )
 def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule, monkeypatch):
     # a block's maps take (N + 1) x (N + 3) floats a record.  The block
-    # writes them in place, half a block at a time, and frees its columns,
-    # values and scan arrays before the next one, so a pass over 2.5
-    # blocks peaks under 3 times the bytes of one block's maps: 1.91 and
-    # 2.48 times with 3 states, 1.79 and 2.44 with 11, under Dempster and
-    # Dubois-Prade (Dempster took 2.30 and 2.28 while its scan copied the
+    # writes them in place, in parts of at most half a block, and frees
+    # its columns, values and scan arrays before the next one, so a pass
+    # over 2.5 blocks peaks under 3 times the bytes of one block's maps:
+    # 1.94 and 2.63 times with 3 states, 1.82 and 2.50 with 11, under
+    # Dempster and Dubois-Prade, whose parts cut the prior's rows with the
+    # arc rows (1.88, 2.49, 1.79 and 2.44 while they were cut apart;
+    # Dempster took 2.30 and 2.28 while its scan copied the
     # block's transition columns to put its reset rows in).  It took 3.6
     # to 5.1 times while each block built its maps whole, with the sorted
     # rows, their running max and their strips each an array of its own,
@@ -796,7 +809,7 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule, m
     # its arrays kept.  The same bound holds with ``_carry`` scanning every
     # block, and on a model that never forgets, where every block's
     # speculation falls back to ``_carry`` while its own arrays are held
-    # (2.34 and 2.53 times)
+    # (2.33 and 2.67 times)
     import tracemalloc
 
     from evimon import bundled

@@ -1,5 +1,8 @@
 """Tolerance-curve and BBA-conversion tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +15,6 @@ from evimon.possibility import (
     Constraint,
     ConstraintVector,
     PossibilityDistribution,
-    compile_constraint_vector,
     constant,
     crisp_above,
     crisp_below,
@@ -296,6 +298,27 @@ def test_constraint_vector_validation():
         ConstraintVector((Constraint("x", constant(1.0), inhibited=True),))
 
 
+def test_equal_vectors_built_apart_hash_alike():
+    # a vector computes its hash once, when it is built: equal vectors
+    # from entries built apart must hash alike, and a copy or an unpickled
+    # vector must compute its own (a str's hash differs between processes)
+    def build():
+        return ConstraintVector(
+            (
+                Constraint("pres", ramp_down(3.0, 5.0)),
+                Constraint("lum", constant(0.5), inhibited=True),
+            )
+        )
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 0, b: 1}) == 1
+    assert a != ConstraintVector(a.entries[:1]) and hash(a) != hash(a.entries[:1])
+    object.__setattr__(a, "_hash", hash(a) + 1)  # as if built in another process
+    for c in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert c == b and hash(c) == hash(b)
+
+
 def test_forbidden_vector():
     cv = ConstraintVector.forbidden()
     assert cv.is_forbidden
@@ -360,25 +383,51 @@ def test_column_curves_equal_scalar_curves(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_compiled_vectors_equal_scalar_vectors(data):
-    n = data.draw(st.integers(1, 4))
-    inhibited = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    assume(not all(inhibited))
-    vector = ConstraintVector(
-        Constraint(f"v{k}", data.draw(curves()), inhibited[k]) for k in range(n)
-    )
-    size = data.draw(st.integers(0, 6))
-    values = {
-        e.variable: probe_points(data.draw, e.distribution) for e in vector.entries
-    }
-    size = min([size] + [len(v) for v in values.values()])
-    # only the variables the vector reads: an inhibited or constant entry
+def test_fused_vectors_equal_scalar_vectors(data):
+    # one side of a model as the contour engine evaluates it: each distinct
+    # (variable, curve) pair once, a constant's by its level and any other's
+    # over its column, and each vector the minimum of its pairs.  The
+    # vectors draw their curves from one pool, so they share pairs and may
+    # repeat, and they hold constant and inhibited entries; records before
+    # ``skip`` read every curve as 1, and so each vector as its least
+    # constant level, or 1
+    from evimon.forward import _Curves
+
+    pool = data.draw(st.lists(curves(), min_size=1, max_size=4))
+    names = ["v0", "v1", "v2"]
+
+    def vector():
+        chosen = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        k = len(chosen)
+        inhibited = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        assume(not all(inhibited))
+        dists = [data.draw(st.sampled_from(pool)) for _ in chosen]
+        return ConstraintVector(map(Constraint, chosen, dists, inhibited))
+
+    vectors = [vector() for _ in range(data.draw(st.integers(1, 6)))]
+    points = np.concatenate([probe_points(data.draw, dist) for dist in pool]).tolist()
+    size = min(data.draw(st.integers(0, 6)), len(points))
+    skip = data.draw(st.integers(0, min(1, size)))
+    side = _Curves(vectors, (len(vectors),))
+    # only the variables some vector reads: an inhibited or constant entry
     # must not touch its column
-    columns = {v: values[v][:size] for v in vector.required_variables()}
+    read = {v for cv in vectors for v in cv.required_variables()}
+    assert side.variables == sorted(read)
+    columns = {
+        v: np.array(data.draw(st.permutations(points))[skip:size])
+        for v in side.variables
+    }
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        fused = compile_constraint_vector(vector)(columns, size)
-    assert fused.shape == (size,)
-    assert fused.tolist() == [
-        evaluate_constraint_vector(vector, {v: col[i] for v, col in columns.items()})
-        for i in range(size)
-    ]
+        fused = side.values(columns, size, skip)
+    assert fused.shape == (size, len(vectors))
+    for cv, got in zip(vectors, fused.T.tolist()):
+        levels = [
+            e.distribution.params[0]
+            for e in cv.entries
+            if not e.inhibited and e.distribution.kind == "constant"
+        ]
+        assert got[:skip] == [min([1.0] + levels)] * skip
+        assert got[skip:] == [
+            evaluate_constraint_vector(cv, {v: col[i] for v, col in columns.items()})
+            for i in range(size - skip)
+        ]
