@@ -40,9 +40,10 @@ bounds.  The full pass scans each block of B maps in place, in
 speculative chunks of 16 records, each but the first started 12 records
 early from the start row and checked bit for bit at its seam (see
 ``_scan``): about 28 batched steps per block, not B (B in a block of one
-chunk).  A block whose seams do not agree, on a model that does not
-forget, takes the product-carried scan ``_carry`` on top: 2L + C
-iterations for C = ceil(B / L) chunks of L = isqrt(B) records.  A window
+chunk).  On a model that does not forget, the chunks from the first
+failing seam on restart from their predecessors' end stacks, 16 more
+batched steps a round, until every seam agrees: at most C - 1 restarts
+for C = ceil(B / 16) chunks, so 12 + 16 C steps at worst.  A window
 over an exact breach, a record whose map conflicts totally on every row,
 is exactly 0 and never advances; the other windows that end in a block
 advance together over the same buffer, W steps per block, each step
@@ -54,7 +55,6 @@ are built on request.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -83,8 +83,8 @@ _CONTOUR_EPS = 1e-15
 # cells of a block's maps (records x rows x N + 3, rows = N + 1 or focal
 # sets): a pass holds one such buffer, plus W - 1 maps, and arrays of half
 # a block at a time.  The scan's numpy calls per record fall as one over
-# a block (one over its square root where it falls back to ``_carry``),
-# and windows take W steps a block
+# a block, unless its chunks restart (at most count - 1 times, one call a
+# record at worst: see ``_scan``), and windows take W steps a block
 _BLOCK_CELLS = 1 << 16
 # the full pass's chunks of records, each but the first started this many
 # records early from the start row (see ``_scan``); _WARM <= _SPAN
@@ -535,21 +535,20 @@ def sliding_effectiveness(
 
 
 def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
-    """Conflicts of the first ``size`` maps and the state after them, from
-    ``state``: unless it falls back, a record-by-record pass's from
-    ``state``, bit for bit, so the whole pass's wherever no earlier block
-    fell back.
+    """Conflicts of the first ``size`` maps and the state after them: a
+    record-by-record pass's from ``state``, bit for bit.
 
     A speculative scan in chunks of ``_SPAN`` records.  Chunk 0 starts from
     ``state``, every other chunk from the start row ``_WARM`` records before
     its first, as a window would; then all chunks step together.  A pass
     forgets where it started, so within a few records the early start holds
-    the true pass's bits.  The scan is kept if every chunk's stack at its
-    first record has the bits of its predecessor's end stack: every chunk
-    then steps from the true pass's stack.  If any seam fails, ``_carry``
-    scans the block.  The chunks' grid reaches past the block, but the
-    last chunk stops at the block's end (an identity pad would divide its
-    stack by its sum): no map after it is read.
+    the true pass's bits.  A seam agrees if a chunk's first stack has the
+    bits of its predecessor's end stack.  From the first failing seam on,
+    every chunk restarts from its predecessor's end stack, until every seam
+    agrees: the first of them starts from the true pass's stack, so a block
+    takes at most ``count - 1`` restarts.  The grid reaches past the block,
+    but the last chunk stops at the block's end (an identity pad would
+    divide its stack by its sum): no map after it is read or written.
     """
     if size <= _SPAN:  # one chunk, with no seam to check
         conflicts, state = _advance(eng, state, size, lambda j: maps[j : j + 1])
@@ -560,66 +559,21 @@ def _scan(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
     warm = eng.start.repeat(count - 1, 0)
     warm = _advance(eng, warm, _WARM, lambda j: grid[:-1, j - _WARM])[1]
     firsts = np.concatenate([state, warm])
-    conflicts = np.empty((count, _SPAN))
-    conflicts[:, :cut], ends = _advance(eng, firsts, cut, lambda j: grid[:, j])
-    conflicts[:-1, cut:], ends[:-1] = _advance(
-        eng, ends[:-1], _SPAN - cut, lambda j: grid[:-1, cut + j]
-    )
-    # by their bits: 0.0 and -0.0 differ, and a NaN equals itself
-    if (ends[:-1].view(np.uint64) != firsts[1:].view(np.uint64)).any():
-        return _carry(eng, maps, size, state)
+    conflicts, ends, lo = np.empty((count, _SPAN)), np.empty_like(firsts), 0
+    for _ in range(count):  # chunk ``lo`` starts exact, and ``lo`` rises
+        conflicts[lo:, :cut], ends[lo:] = _advance(
+            eng, firsts[lo:], cut, lambda j: grid[lo:, j]
+        )
+        conflicts[lo:-1, cut:], ends[lo:-1] = _advance(
+            eng, ends[lo:-1], _SPAN - cut, lambda j: grid[lo:-1, cut + j]
+        )
+        # by their bits: 0.0 and -0.0 differ, and a NaN equals itself
+        seams = (ends[lo:-1].view(np.uint64) != firsts[lo + 1 :].view(np.uint64)).any(1)
+        if not seams.any():
+            break
+        lo += int(seams.argmax()) + 1  # the first chunk whose seam fails
+        firsts[lo:] = ends[lo - 1 : -1]
     return conflicts.reshape(-1)[:size], ends[-1:]
-
-
-def _carry(eng, maps, size, state) -> tuple[np.ndarray, np.ndarray]:
-    """Conflicts of the first ``size`` maps and the state after them, from
-    ``state``, to float precision; identity maps after them pad the last
-    chunk.  ``_scan`` falls back to it where its chunks' seams disagree.
-
-    A chunked scan of ``A_t = M_t[:, :N + 1]``.  A step is ambiguous unless
-    all its rows' conflicts lie eps/2 or more above Dempster's threshold,
-    where it resets for every state (rows ``[1...1, 0]`` overwrite ``A_t``),
-    or all as far below.  The chunks' products are taken together, each
-    row rescaled to a max of 1 and its log scale kept; a walk over the
-    chunk boundaries carries the state, record by record through a chunk
-    with an ambiguous step; then all chunks advance from their starts.
-    """
-    rows, cols = maps.shape[1:]
-    span = math.isqrt(size)
-    count = -(-size // span)
-    maps[size : count * span] = np.eye(rows, cols) + np.eye(1, cols, cols - 1)
-    grid = maps[: count * span].reshape(count, span, rows, cols)
-    chunks, exact = grid[..., :rows], np.zeros(count, bool)
-    if eng.rule == "dempster":
-        # rounding is monotone: the least margin is the least conflict's
-        conflicts, threshold = grid[..., -2], 1.0 - _TOTAL_CONFLICT_EPS
-        always = conflicts.min(2) - threshold >= _TOTAL_CONFLICT_EPS / 2
-        near = conflicts.max(2) - threshold > -_TOTAL_CONFLICT_EPS / 2
-        exact = (~always & near).any(1)
-        # in place: later reads go through ``eng.step``, which resets there
-        # anyway, and the windows' breach test reads only the last two columns
-        chunks[always] = 1.0 - np.eye(1, rows, rows - 1)
-    # two buffers taken in turn, chunks last in memory: the max and the
-    # divide below loop over the chunks, not over a row's N + 1 entries
-    pair = np.empty((2, rows, rows, count)).transpose(0, 3, 1, 2)
-    products, logs = np.eye(rows), np.zeros((count, rows))
-    for j in range(span):
-        products = np.matmul(products, chunks[:, j], out=pair[j % 2])
-        scale = products.max(2)
-        live = scale > 0  # a row that is exactly 0 stays 0
-        np.divide(products, scale[..., None], out=products, where=live[..., None])
-        logs += np.log(scale, out=np.full_like(scale, -np.inf), where=live)
-    starts = np.empty((count, rows))
-    for c in range(count):
-        starts[c] = state
-        if exact[c]:
-            state = _advance(eng, state, span, lambda j: grid[c, j : j + 1])[1]
-        else:  # rescale by the largest row the state weighs, not by all
-            logw = np.log(state, out=np.full_like(state, -np.inf), where=state > 0)
-            logw += logs[c]
-            state = np.exp(logw - logw.max()) @ products[c]
-    conflicts = _advance(eng, starts, span, lambda j: grid[:, j])[0]
-    return conflicts.reshape(-1)[:size], state
 
 
 def _advance(eng, stack, steps, operand):
@@ -656,7 +610,7 @@ def _windows_fast(trace, model, window_len, stride):
     """
     eng = ContourEngine(model)
     n, tail = model.frame.size, window_len - 1
-    room = min(len(trace), tail + eng._block) + max(math.isqrt(eng._block), _SPAN)
+    room = min(len(trace), tail + eng._block) + _SPAN
     maps = np.empty((room, n + 1, n + 3))
     flat, width = maps.reshape(-1), (n + 1) * (n + 3)
     conflicts, state, held = np.empty(len(trace)), eng.start, 0

@@ -1,9 +1,9 @@
 """Model construction, prediction and forward-pass tests."""
 
-import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -558,19 +558,14 @@ def test_tiny_grades_agree_with_reference():
             assert_engines_agree(records, graded_model(3, rule), 5, 3)
 
 
-# records per block: one chunk of the full pass's scan, or four; its
-# fallback ``_carry`` scans them in chunks of 1, 1, 2, 4 and 8 records
+# records per block: one chunk of the full pass's scan, or four
 BLOCKS = (1, 2, 5, 16, 64)
 
 
 def with_rule(base, rule, prior=None):
-    """``base`` under ``rule``, and ``prior`` (vacuous if None)."""
-    from evimon.iohmm import EvIohmm
-
-    return EvIohmm(
-        base.frame, base.transitions, base.emissions, prior=prior, rule=rule,
-        input_variables=base.input_variables, output_variables=base.output_variables,
-    )
+    """``base`` under ``rule``, and ``prior`` (vacuous if None), as
+    ``evimon eval --rule`` makes it."""
+    return dataclasses.replace(base, rule=rule, prior=prior)
 
 
 def with_priors(base, rule):
@@ -598,25 +593,12 @@ def set_block(monkeypatch, model, records_per_block):
     assert forward.ContourEngine(model)._block == records_per_block
 
 
-def both_scans(monkeypatch):
-    """Yield with the speculative scan, then with every block scanned by
-    its fallback, the carried products of ``_carry``."""
-    from evimon import forward
-
-    yield
-    with monkeypatch.context() as patch:
-        patch.setattr(forward, "_scan", forward._carry)
-        yield
-
-
 @pytest.mark.parametrize("rule", RULES)
 def test_block_length_does_not_change_the_report(rule, monkeypatch):
     # the engine builds each record's map a block of records at a time, and
-    # the full pass scans each block in chunks, so the last bits may follow
-    # the block where it falls back to ``_carry``, whose chunks are of
-    # isqrt(block) records: with the speculative scan and with ``_carry``
-    # alone, every block length must agree with the reference to 1e-9 and
-    # with the default block to 1e-12, also under a prior of several focal
+    # the full pass scans each block in chunks: every block length must
+    # agree with the reference to 1e-9 and with the default block to
+    # 1e-12, also under a prior of several focal
     # sets (one of them empty), whose start row is part of every block's
     # maps.  Windows that skip whole blocks (stride above the block
     # length), cross blocks (W above it) or span the trace must agree with
@@ -635,12 +617,11 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))[160:220]
     for model in with_priors(parse_model(bundled.model_path("speed_limits")), rule):
         ref = sliding_effectiveness(trace, model, 7, 2, engine="reference")
-        for _ in both_scans(monkeypatch):
-            default = sliding_effectiveness(trace, model, 7, 2)
-            for _ in block_lengths(model):
-                report = sliding_effectiveness(trace, model, 7, 2)
-                assert_reports_agree(report, ref)
-                assert_reports_agree(report, default, tol=1e-12)
+        default = sliding_effectiveness(trace, model, 7, 2)
+        for _ in block_lengths(model):
+            report = sliding_effectiveness(trace, model, 7, 2)
+            assert_reports_agree(report, ref)
+            assert_reports_agree(report, default, tol=1e-12)
 
     # graded conflicts on every record, so that a window read from the
     # wrong records shows
@@ -653,13 +634,12 @@ def test_block_length_does_not_change_the_report(rule, monkeypatch):
             case: sliding_effectiveness(short, model, *case, engine="reference")
             for case in cases
         }
-        for _ in both_scans(monkeypatch):
-            defaults = {case: sliding_effectiveness(short, model, *case) for case in cases}
-            for _ in block_lengths(model):
-                for case, ref in refs.items():
-                    report = sliding_effectiveness(short, model, *case)
-                    assert_reports_agree(report, ref)
-                    assert_reports_agree(report, defaults[case], tol=1e-12)
+        defaults = {case: sliding_effectiveness(short, model, *case) for case in cases}
+        for _ in block_lengths(model):
+            for case, ref in refs.items():
+                report = sliding_effectiveness(short, model, *case)
+                assert_reports_agree(report, ref)
+                assert_reports_agree(report, defaults[case], tol=1e-12)
 
 
 def concatenated_cuts(rule, rows, e):
@@ -793,12 +773,12 @@ def test_in_place_maps_equal_the_concatenated_maps(rule, monkeypatch):
     "name, scenario",
     [("ride_comfort", "mixed"), ("speed_limits", "comfort"), ("never_forgetting", None)],
 )
-def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule, monkeypatch):
+def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule):
     # a block's maps take (N + 1) x (N + 3) floats a record.  The block
     # writes them in place, in parts of at most half a block, and frees
     # its columns, values and scan arrays before the next one, so a pass
     # over 2.5 blocks peaks under 3 times the bytes of one block's maps:
-    # 1.94 and 2.63 times with 3 states, 1.82 and 2.50 with 11, under
+    # 1.93 and 2.62 times with 3 states, 1.81 and 2.49 with 11, under
     # Dempster and Dubois-Prade, whose parts cut the prior's rows with the
     # arc rows (1.88, 2.49, 1.79 and 2.44 while they were cut apart;
     # Dempster took 2.30 and 2.28 while its scan copied the
@@ -806,10 +786,8 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule, m
     # to 5.1 times while each block built its maps whole, with the sorted
     # rows, their running max and their strips each an array of its own,
     # and 7.5 to 10.5 times while each block's maps were concatenated and
-    # its arrays kept.  The same bound holds with ``_carry`` scanning every
-    # block, and on a model that never forgets, where every block's
-    # speculation falls back to ``_carry`` while its own arrays are held
-    # (2.33 and 2.67 times)
+    # its arrays kept.  The same bound holds on a model that never forgets,
+    # where every block's chunks restart (2.33 and 2.67 times)
     import tracemalloc
 
     from evimon import bundled
@@ -827,15 +805,14 @@ def test_a_block_holds_a_few_times_the_bytes_of_its_maps(name, scenario, rule, m
         block = ContourEngine(model)._block
         records, _ = generate_trace(model, scenario, block * 5 // 2, 3)
     trace, n = Trace.from_records(records), model.frame.size
-    for _ in both_scans(monkeypatch):
-        sliding_effectiveness(trace, model, 10, 1)  # warm-up
-        tracemalloc.start()
-        try:
-            sliding_effectiveness(trace, model, 10, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * block * (n + 1) * (n + 3) * 8
+    sliding_effectiveness(trace, model, 10, 1)  # warm-up
+    tracemalloc.start()
+    try:
+        sliding_effectiveness(trace, model, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * block * (n + 1) * (n + 3) * 8
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -846,9 +823,7 @@ def test_a_pass_reads_no_memory_it_did_not_write(rule, monkeypatch):
     # np.empty fills floats with NaN and integers with their largest value
     # must write the bytes of the first, at blocks of 1 and 7 records and
     # at the default block, with windows that cross blocks (W above a
-    # block) and that skip them (stride above a block), with the
-    # speculative scan and with ``_carry``, which pads its last chunk in
-    # the buffer and rewrites Dempster's reset rows there
+    # block) and that skip them (stride above a block)
     from evimon import bundled
     from evimon.forward import ContourEngine
     from evimon.modelfile import parse_model
@@ -863,22 +838,21 @@ def test_a_pass_reads_no_memory_it_did_not_write(rule, monkeypatch):
 
     trace = read_trace(bundled.trace_path("speed_limits_mixed_600"))
     for model in with_priors(parse_model(bundled.model_path("speed_limits")), rule):
-        for _ in both_scans(monkeypatch):
-            for records_per_block in (1, 7, None):
-                held = trace
-                if records_per_block:  # 120 records around the breach at 450-452
-                    set_block(monkeypatch, model, records_per_block)
-                    held = trace[400:520]
-                block = ContourEngine(model)._block
-                for shape in ((50, 3), (block + 3, 2), (3, block + 2)):
-                    first = sliding_effectiveness(held, model, *shape)
-                    with monkeypatch.context() as poison:
-                        poison.setattr(np, "empty", poisoned)
-                        second = sliding_effectiveness(held, model, *shape)
-                    for name in ("conflicts", "values", "resets"):
-                        written = getattr(first, name), getattr(second, name)
-                        assert written[0].tobytes() == written[1].tobytes()
-                monkeypatch.undo()
+        for records_per_block in (1, 7, None):
+            held = trace
+            if records_per_block:  # 120 records around the breach at 450-452
+                set_block(monkeypatch, model, records_per_block)
+                held = trace[400:520]
+            block = ContourEngine(model)._block
+            for shape in ((50, 3), (block + 3, 2), (3, block + 2)):
+                first = sliding_effectiveness(held, model, *shape)
+                with monkeypatch.context() as poison:
+                    poison.setattr(np, "empty", poisoned)
+                    second = sliding_effectiveness(held, model, *shape)
+                for name in ("conflicts", "values", "resets"):
+                    written = getattr(first, name), getattr(second, name)
+                    assert written[0].tobytes() == written[1].tobytes()
+            monkeypatch.undo()
 
 
 def stepwise_conflicts(model, records):
@@ -895,15 +869,13 @@ def stepwise_conflicts(model, records):
 
 @pytest.mark.parametrize("rule", RULES)
 def test_chunked_scan_agrees_with_reference(rule, monkeypatch):
-    # with the speculative scan, and with its fallback alone, which cuts
-    # each block into chunks of isqrt(block) records;
-    # 141 records leave ragged last chunks (blocks of 5 are chunks of 2, 2
-    # and 1; the last block of 13 records is chunks of 3, 3, 3, 3 and 1).
-    # Records 72, 75 and 76 conflict totally: a Dempster reset at a
-    # chunk's first step and one inside a chunk, for every block length
-    # above 2.  Record 101 leaves only s0 plausible, and record 102 maps s0
-    # to nothing and s1 to everything: an ambiguous step, which resets;
-    # record 103 is the same and does not (K = 1/2 from the reset state).
+    # 141 records leave a ragged last block (13 records, one chunk, at
+    # blocks of 64).  Records 72, 75 and 76 conflict totally: Dempster
+    # resets at a block's first step (75, at blocks of 5) and inside
+    # blocks and chunks.  Record 101 leaves only s0 plausible, and record
+    # 102 maps s0 to nothing and s1 to everything: rows that conflict
+    # totally and not at all, and the step resets; record 103 is the same
+    # and does not (K = 1/2 from the reset state).
     rng = np.random.default_rng(12)
     model = graded_model(2, rule)
     records = [
@@ -916,24 +888,20 @@ def test_chunked_scan_agrees_with_reference(rule, monkeypatch):
     for t in (102, 103):
         records[t] = graded_record(t, [[0, 0], [1, 1]], [1.0, 1.0])
     ref = sliding_effectiveness(records, model, 7, 3, engine="reference")
-    for _ in both_scans(monkeypatch):
-        for records_per_block in BLOCKS:
-            set_block(monkeypatch, model, records_per_block)
-            report = sliding_effectiveness(records, model, 7, 3)
-            assert_reports_agree(report, ref)
-            assert report.steps[103].conflict == 0.5
-            if rule == "dempster":
-                assert [s.index for s in report.steps if s.reset] == [72, 75, 76, 102]
+    for records_per_block in BLOCKS:
+        set_block(monkeypatch, model, records_per_block)
+        report = sliding_effectiveness(records, model, 7, 3)
+        assert_reports_agree(report, ref)
+        assert report.steps[103].conflict == 0.5
+        if rule == "dempster":
+            assert [s.index for s in report.steps if s.reset] == [72, 75, 76, 102]
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_chunked_scan_keeps_tiny_grades(rule, monkeypatch):
-    # with the speculative scan, and with its fallback alone: there each
-    # chunk's product rescales its rows to a max of 1 and keeps their
-    # log scales, and the walk over the chunk boundaries rescales by the
-    # rows the state weighs.  Grades down to 1e-200 must turn no exact 0
-    # into a non-zero and no non-zero into 0, so the conflicts match the
-    # record-by-record pass at both ends, and the reference to 1e-9.  Most
+    # grades down to 1e-200 must turn no exact 0 into a non-zero and no
+    # non-zero into 0: the conflicts are the record-by-record pass's, bit
+    # for bit, at every block length, and the reference's to 1e-9.  Most
     # records keep every row in play through a shared state k, so that the
     # steps do not all reset.
     rng = np.random.default_rng(13)
@@ -948,45 +916,53 @@ def test_chunked_scan_keeps_tiny_grades(rule, monkeypatch):
         records.append(graded_record(t, arcs, emission))
     expected = stepwise_conflicts(model, records)
     ref = sliding_effectiveness(records, model, 5, 2, engine="reference")
-    for _ in both_scans(monkeypatch):
-        for records_per_block in BLOCKS:
-            set_block(monkeypatch, model, records_per_block)
-            report = sliding_effectiveness(records, model, 5, 2)
-            conflicts = np.array([s.conflict for s in report.steps])
-            assert np.allclose(conflicts, expected, rtol=0.0, atol=1e-12)
-            assert ((conflicts == 0.0) == (expected == 0.0)).all()
-            assert ((conflicts == 1.0) == (expected == 1.0)).all()
-            assert_reports_agree(report, ref)
+    for records_per_block in BLOCKS:
+        set_block(monkeypatch, model, records_per_block)
+        report = sliding_effectiveness(records, model, 5, 2)
+        assert report.conflicts.tobytes() == expected.tobytes()
+        assert_reports_agree(report, ref)
 
     # the only plausible state s1 keeps a transfer of 2**-38 per step while
-    # s0 keeps 1: 900 records are one block at N = 2, scanned in chunks of
-    # 30, over which s1's row scale falls to 2**-1140.  Scaled by the
-    # largest of all rows, the state would underflow to 0 and read 0 / 0.
+    # s0 keeps 1: 900 records are one block at N = 2.  A chunk started
+    # early from the start row settles on s0, not on the pass's s1, so its
+    # seam fails and it restarts from its predecessor's end stack
     monkeypatch.undo()
     tiny = 2.0**-19
     records = [
         graded_record(0, [[1, 1], [1, 1]], [1.0, 1.0]),
         graded_record(1, [[1, 1], [1, 1]], [0.0, 1.0]),
     ] + [graded_record(t, [[1, 0], [0, tiny]], [1.0, tiny]) for t in range(2, 900)]
-    for _ in both_scans(monkeypatch):
-        report = assert_engines_agree(records, graded_model(2, rule), 2, 299)
-        if rule == "dempster":
-            assert all(s.conflict == 1.0 - tiny**2 for s in report.steps[2:])
+    model = graded_model(2, rule)
+    report = assert_engines_agree(records, model, 2, 299)
+    assert report.conflicts.tobytes() == stepwise_conflicts(model, records).tobytes()
+    if rule == "dempster":
+        assert all(s.conflict == 1.0 - tiny**2 for s in report.steps[2:])
 
 
-def scan_paths(monkeypatch):
-    """Count the full pass's block scans and their ``_carry`` fallbacks."""
+def scan_restarts(monkeypatch):
+    """Spy on the full pass: a list, filled as it runs, of each block's
+    chunks and the restarts its scan took.  A scan of more than one chunk
+    calls ``_advance`` three times (the warm-up, every chunk up to the last
+    one's end, the others' rest) and twice more a restart; a scan of one
+    chunk calls it once."""
     from evimon import forward
 
-    calls = collections.Counter()
-    for name in ("_scan", "_carry"):
+    blocks, made = [], [0]
 
-        def spy(*args, _name=name, _wrapped=getattr(forward, name)):
-            calls[_name] += 1
-            return _wrapped(*args)
+    def advance(*args, _advance=forward._advance):
+        made[0] += 1
+        return _advance(*args)
 
-        monkeypatch.setattr(forward, name, spy)
-    return calls
+    def scan(eng, maps, size, state, _scan=forward._scan):
+        made[0] = 0
+        out = _scan(eng, maps, size, state)
+        count = -(-size // forward._SPAN)
+        blocks.append((count, (made[0] - 3) / 2 if count > 1 else made[0] - 1))
+        return out
+
+    monkeypatch.setattr(forward, "_advance", advance)
+    monkeypatch.setattr(forward, "_scan", scan)
+    return blocks
 
 
 def assert_stepwise_pass(report, model, records):
@@ -1017,19 +993,21 @@ def test_a_forgetting_model_is_scanned_in_speculative_chunks_alone(rule, monkeyp
         with monkeypatch.context() as patch:
             if records_per_block:
                 set_block(patch, model, records_per_block)
-            calls = scan_paths(patch)
+            scans = scan_restarts(patch)
             report = sliding_effectiveness(records, model, 10, 10)
-        assert (calls["_scan"], calls["_carry"]) == (blocks, 0)
+        assert [restarts for _, restarts in scans] == [0] * blocks
         assert_stepwise_pass(report, model, records)
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_a_kept_scan_is_the_record_by_record_pass_at_any_block_length(rule, monkeypatch):
-    # wherever no block falls back, the conflicts are the record-by-record
-    # pass's bits at blocks of 37, 50 and 77 records, none a whole number
-    # of chunks: a block's last chunk stops at the block's end.  Stepping
-    # on through identity pads would divide the state handed to the next
-    # block by its sum, which moved the bits of 21 of 55 such cases
+    # the conflicts are the record-by-record pass's bits at blocks of 37, 50
+    # and 77 records, none a whole number of chunks: a block's last chunk
+    # stops at the block's end.  Stepping on through identity pads would
+    # divide the state handed to the next block by its sum, which moved the
+    # bits of 21 of 55 such cases.  Some cases keep every block's first
+    # scan, and some restart chunks (3, 13 and 20 of 30 under Dempster,
+    # Yager and Dubois-Prade)
     kept = 0
     for seed in range(10):
         rng = np.random.default_rng([36, seed])
@@ -1038,12 +1016,11 @@ def test_a_kept_scan_is_the_record_by_record_pass_at_any_block_length(rule, monk
         for records_per_block in (37, 50, 77):
             with monkeypatch.context() as patch:
                 set_block(patch, model, records_per_block)
-                calls = scan_paths(patch)
+                scans = scan_restarts(patch)
                 report = sliding_effectiveness(records, model, 5, 5)
-            if not calls["_carry"]:
-                kept += 1
-                assert_stepwise_pass(report, model, records)
-    assert kept >= 10
+            kept += not any(restarts for _, restarts in scans)
+            assert_stepwise_pass(report, model, records)
+    assert 10 <= kept < 30
 
 
 def never_forgetting_model(rule):
@@ -1071,26 +1048,29 @@ def never_forgetting_model(rule):
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_a_model_that_never_forgets_falls_back_to_the_carried_products(rule, monkeypatch):
-    # seams fail in every block, so each block is scanned by ``_carry``:
-    # its chunk products carried over the chunk seams, which agree with
-    # the record-by-record pass to 1e-12 and keep its exact 0s and 1s
+def test_a_model_that_never_forgets_restarts_its_chunks(rule, monkeypatch):
+    # seams fail in every block, and from the first failing seam on every
+    # chunk restarts from its predecessor's end stack until every seam
+    # agrees: the conflicts are the record-by-record pass's, bit for bit,
+    # and a block of C chunks takes at most C - 1 restarts.  Under
+    # Dempster each round mends one seam alone, so every block takes
+    # exactly C - 1: the worst case
     rng = np.random.default_rng(34)
     model = never_forgetting_model(rule)
     records = random_trace(rng, 300)
-    expected = stepwise_conflicts(model, records)
     ref = sliding_effectiveness(records, model, 10, 10, engine="reference")
     for records_per_block, blocks in ((64, 5), (100, 3), (None, 1)):
         with monkeypatch.context() as patch:
             if records_per_block:
                 set_block(patch, model, records_per_block)
-            calls = scan_paths(patch)
+            scans = scan_restarts(patch)
             report = sliding_effectiveness(records, model, 10, 10)
-        assert calls["_scan"] == calls["_carry"] == blocks
+        assert len(scans) == blocks
+        assert all(0 < restarts <= count - 1 for count, restarts in scans)
+        if rule == "dempster":
+            assert all(restarts == count - 1 for count, restarts in scans)
         assert_reports_agree(report, ref)
-        assert np.allclose(report.conflicts, expected, rtol=0.0, atol=1e-12)
-        assert ((report.conflicts == 0.0) == (expected == 0.0)).all()
-        assert ((report.conflicts == 1.0) == (expected == 1.0)).all()
+        assert_stepwise_pass(report, model, records)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -1098,8 +1078,9 @@ def test_a_stack_row_steps_to_the_same_bits_batched_or_alone(rule):
     # the seam test trusts a chunk whose first stack equals the true
     # pass's: it assumes that ``step`` gives a row the same bits whether it
     # is stepped alone on its own map, or in a stack of per-pass maps,
-    # contiguous or a strided view of a grid of chunks.  Random stacks, with
-    # exact 0s and 1s, and the passes' own stacks, on each bundled model
+    # contiguous or a strided view of a grid of chunks, whole or from a
+    # chunk on, as a restart steps it.  Random stacks, with exact 0s and
+    # 1s, and the passes' own stacks, on each bundled model
     from evimon import bundled
     from evimon.forward import ContourEngine
     from evimon.generate import generate_trace
@@ -1127,9 +1108,11 @@ def test_a_stack_row_steps_to_the_same_bits_batched_or_alone(rule):
         for stacks in (np.concatenate(passes), random):
             alone = [eng.step(stacks[i : i + 1], maps[i]) for i in range(160)]
             batches = [(range(160), eng.step(stacks, maps))]
-            for j in range(16):  # a view: chunk k's j-th map is map 16k + j
-                rows = range(j, 160, 16)
-                batches.append((rows, eng.step(stacks[rows.start :: 16], grid[:, j])))
+            # a view: chunk k's j-th map is map 16k + j, from chunk 0 as the
+            # first round steps them, or from chunk lo on as a restart does
+            for lo, j in itertools.product((0, 3, 9), range(16)):
+                rows = range(16 * lo + j, 160, 16)
+                batches.append((rows, eng.step(stacks[rows.start :: 16], grid[lo:, j])))
             for rows, (conflicts, stepped) in batches:
                 for i, conflict, stack in zip(rows, conflicts, stepped):
                     assert conflict.tobytes() == alone[i][0].tobytes()
@@ -1177,8 +1160,6 @@ def test_windows_over_an_exact_breach_are_exactly_0(rule, monkeypatch):
     # window weighs after its first step.  Near-breaches (K = 1 - 2**-44)
     # are no breach.  Blocks of 1 to 64 records make batches of windows
     # that are all dead, all live or mixed, and blocks that open none.
-    # Windows read the maps after the full pass, so the same must hold
-    # when ``_carry`` scans every block and rewrites Dempster's reset rows.
     rng = np.random.default_rng(18)
     tiny = 2.0**-44
     kinds = ["graded"] * 90
@@ -1211,26 +1192,25 @@ def test_windows_over_an_exact_breach_are_exactly_0(rule, monkeypatch):
             case: sliding_effectiveness(records, model, *case, engine="reference")
             for case in grid
         }
-        for _ in both_scans(monkeypatch):
-            for records_per_block in BLOCKS:
-                set_block(monkeypatch, model, records_per_block)
-                for (window_len, stride), ref in refs.items():
-                    report = sliding_effectiveness(records, model, window_len, stride)
-                    assert_reports_agree(report, ref)
-                    expected = stepwise_windows(model, records, window_len, stride)
-                    assert report.values.tobytes() == expected.tobytes()
-                    for window in report.windows:
-                        held = kinds[window.start : window.end + 1]
-                        start_row = prior is not None and held[0] == "start row"
-                        if "breach" in held:
-                            assert window.value == 0.0
-                        elif "arc rows" not in held[1:] and not start_row:
-                            assert window.value > 0.0
-                            seen["arc rows"] += held[0] == "arc rows"
-                            seen["start row"] += (
-                                prior is not None and "start row" in held[1:]
-                            )
-            monkeypatch.undo()
+        for records_per_block in BLOCKS:
+            set_block(monkeypatch, model, records_per_block)
+            for (window_len, stride), ref in refs.items():
+                report = sliding_effectiveness(records, model, window_len, stride)
+                assert_reports_agree(report, ref)
+                expected = stepwise_windows(model, records, window_len, stride)
+                assert report.values.tobytes() == expected.tobytes()
+                for window in report.windows:
+                    held = kinds[window.start : window.end + 1]
+                    start_row = prior is not None and held[0] == "start row"
+                    if "breach" in held:
+                        assert window.value == 0.0
+                    elif "arc rows" not in held[1:] and not start_row:
+                        assert window.value > 0.0
+                        seen["arc rows"] += held[0] == "arc rows"
+                        seen["start row"] += (
+                            prior is not None and "start row" in held[1:]
+                        )
+        monkeypatch.undo()
     assert seen["arc rows"] and seen["start row"]
 
 
@@ -1255,21 +1235,22 @@ def test_a_long_live_window_is_a_running_product(rule):
 # sha256 of float.hex of every conflict, then every window value, of
 # five seeded random models per rule, whose transition rows depend on the
 # source state.  The speculative scan moved 2 Yager and 7 Dubois-Prade
-# conflicts, by at most 2.2e-16, to the record-by-record pass's bits;
-# three Dubois-Prade cases fall back to ``_carry`` and keep their bits
+# conflicts, by at most 2.2e-16, to the record-by-record pass's bits; its
+# restarts moved 10 more Dubois-Prade conflicts of trials 1, 3 and 4 (by
+# at most 1.1e-16, no window value) where a product-carried scan had taken
+# their blocks
 ENGINE_DIGESTS = {
     "dempster": "ed6c571cf777bab357c155fdb62bc04b867c93dfd27ee0edabf77d707d2e9d6c",
     "yager": "5d5a1340adc2683f67176e0a7deff4153c862bf6a230e55b65b17bc9d7f3b6d8",
-    "dubois_prade": "c390b1ddc5efd5d513e559730dc91471960920b15cc31a5f1c7c436fc5278421",
+    "dubois_prade": "cf7350a51bea78d82de4d322c86583049a199cc2b4501a2330bc7a6973ff2f2f",
 }
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_engine_bits_are_pinned(rule, monkeypatch):
+def test_engine_bits_are_pinned(rule):
     # agreement with the reference to 1e-9 lets the last bits move; this
     # digest does not.  A change that moves them must say so and re-pin.
-    # Each case that no block of falls back has the record-by-record
-    # pass's conflicts
+    # Every case has the record-by-record pass's conflicts
     rng = np.random.default_rng(2024)
     digest = hashlib.sha256()
     for trial in range(5):
@@ -1279,12 +1260,9 @@ def test_engine_bits_are_pinned(rule, monkeypatch):
         records = random_trace(
             rng, 30, model.input_variables, model.output_variables
         )
-        with monkeypatch.context() as patch:
-            calls = scan_paths(patch)
-            report = sliding_effectiveness(records, model, 6, 2)
-        if not calls["_carry"]:
-            expected = stepwise_conflicts(model, records)
-            assert report.conflicts.tobytes() == expected.tobytes()
+        report = sliding_effectiveness(records, model, 6, 2)
+        expected = stepwise_conflicts(model, records)
+        assert report.conflicts.tobytes() == expected.tobytes()
         values = [s.conflict for s in report.steps] + [w.value for w in report.windows]
         digest.update("\n".join(v.hex() for v in values).encode())
     assert digest.hexdigest() == ENGINE_DIGESTS[rule]
